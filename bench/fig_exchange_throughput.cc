@@ -1,11 +1,8 @@
 // Exchange-plane throughput: per-tuple (batch_size 1 — the reference
 // configuration since the mutex Channel plane's retirement) vs. batched
-// (src/exchange/) shipping, across batch sizes, thread counts, and — new
-// with batch-aware operator dispatch — the dispatch axis: `envelope` (the
-// engine unpacks every batch into one OnMessage call per envelope, the
-// PR-1 baseline) vs `batch` (the engine hands whole batches to
-// Task::OnBatch, so reshuffler routing and joiner store/probe run their
-// one-pass batch specializations).
+// (src/exchange/) shipping, across batch sizes and thread counts. The engine
+// hands whole batches to Task::OnBatch, so reshuffler routing and joiner
+// store/probe run their one-pass batch specializations.
 //
 // Three sections:
 //  1. raw fan-out — an external producer round-robins envelopes over N sink
@@ -30,8 +27,7 @@
 //     beyond the zero-synchronization compute ceiling, which the bench
 //     measures by running the identical operator + stream on the
 //     deterministic SimEngine. Batched (batch >= 64) must cut that overhead
-//     by >= 3x vs per-tuple exchange, and batch dispatch must cut it by
-//     >= 1.5x vs envelope dispatch at the same batch size.
+//     by >= 3x vs per-tuple exchange.
 //
 // Emits BENCH_exchange_throughput.json via the shared JSON writer.
 
@@ -62,17 +58,11 @@ namespace {
 struct Mode {
   const char* name;
   uint32_t batch_size;
-  bool batch_dispatch;  // OnBatch vs per-envelope unpack
 };
-
-const char* DispatchName(const Mode& mode) {
-  return mode.batch_dispatch ? "batch" : "envelope";
-}
 
 std::unique_ptr<ThreadEngine> MakeEngine(const Mode& mode) {
   ExchangeConfig config;
   config.batch_size = mode.batch_size;
-  config.batch_dispatch = mode.batch_dispatch;
   return std::make_unique<ThreadEngine>(config);
 }
 
@@ -87,12 +77,12 @@ class SinkTask : public Task {
   uint64_t count_ = 0;
 };
 
-/// Section 1: raw exchange fan-out, no operator logic. Sinks have no OnBatch
-/// specialization, so the dispatch axis is irrelevant here and the modes
-/// sweep batch size only.
+/// Section 1: raw exchange fan-out, no operator logic, across batch sizes.
 const Mode kRawModes[] = {
-    {"batched-1", 1, true},     {"batched-16", 16, true},
-    {"batched-64", 64, true},   {"batched-256", 256, true},
+    {"batched-1", 1},
+    {"batched-16", 16},
+    {"batched-64", 64},
+    {"batched-256", 256},
 };
 
 double RawFanout(const Mode& mode, int sinks, uint64_t envelopes) {
@@ -250,14 +240,13 @@ OperatorConfig StaticJoinConfig(uint32_t machines) {
   return cfg;
 }
 
-/// Section 2 modes: the per-tuple reference (batch_size 1) plus batch sizes
-/// 16/64/256, each under both dispatch kinds so the axis is measured at
-/// equal batching.
+/// Section 3 modes: the per-tuple reference (batch_size 1) plus batch sizes
+/// 16/64/256.
 const Mode kJoinModes[] = {
-    {"batched-1", 1, false},
-    {"b16/env", 16, false},   {"b16/batch", 16, true},
-    {"b64/env", 64, false},   {"b64/batch", 64, true},
-    {"b256/env", 256, false}, {"b256/batch", 256, true},
+    {"batched-1", 1},
+    {"b16", 16},
+    {"b64", 64},
+    {"b256", 256},
 };
 
 /// Section 2: end-to-end static join run on the threaded engine. Best of
@@ -280,7 +269,6 @@ JoinRunResult JoinRun(const Mode& mode, uint32_t machines,
     if (telemetry) {
       ExchangeConfig xc;
       xc.batch_size = mode.batch_size;
-      xc.batch_dispatch = mode.batch_dispatch;
       xc.trace = &trace;
       engine = std::make_unique<ThreadEngine>(xc);
     } else {
@@ -355,9 +343,8 @@ int main() {
       .Add("reps", "5 on 4J join runs, 2 on 2J/8J, 3 on raw fan-out")
       .Add("note", "per-tuple reference = batched-1 (batch_size 1; the "
                    "mutex Channel plane is retired); bN = src/exchange "
-                   "plane with batch_size N; dispatch env = engine unpacks "
-                   "batches into OnMessage, batch = whole-batch OnBatch into "
-                   "the operators; overhead_ns = per-tuple wall time beyond "
+                   "plane with batch_size N, whole batches dispatched to "
+                   "Task::OnBatch; overhead_ns = per-tuple wall time beyond "
                    "the SimEngine compute ceiling; ingress post = all "
                    "producers serialized on one shared IngressPort behind a "
                    "mutex (the retired Engine::Post shim's pattern, now "
@@ -468,15 +455,9 @@ int main() {
   std::printf("   xchg overhead ns/tuple (4J)\n");
   double batched1_4j = 0;
   double best_batched_4j = 0;
-  // Best (lowest) 4J overhead across batch-dispatch modes >= 64 (for the
-  // vs-per-tuple metric), plus per-size env/batch pairs so the dispatch
-  // axis compares at equal wire batching.
+  // Best (lowest) 4J overhead across batch sizes >= 64 (for the
+  // vs-per-tuple metric).
   double overhead_batch_ns = -1;
-  struct DispatchPair {
-    uint32_t size;
-    double env = -1, batch = -1;
-  };
-  DispatchPair dispatch_pairs[] = {{64, -1, -1}, {256, -1, -1}};
   for (const Mode& mode : kJoinModes) {
     std::printf("%-12s", mode.name);
     double overhead_4j = 0;
@@ -494,22 +475,15 @@ int main() {
         overhead_4j = overhead_ns;
         if (mode.batch_size == 1) batched1_4j = r.tuples_per_sec;
         if (mode.batch_size >= 64) {
-          if (mode.batch_dispatch) {
-            best_batched_4j = std::max(best_batched_4j, r.tuples_per_sec);
-            if (overhead_batch_ns < 0 || overhead_ns < overhead_batch_ns) {
-              overhead_batch_ns = overhead_ns;
-            }
-          }
-          for (DispatchPair& pair : dispatch_pairs) {
-            if (pair.size != mode.batch_size) continue;
-            (mode.batch_dispatch ? pair.batch : pair.env) = overhead_ns;
+          best_batched_4j = std::max(best_batched_4j, r.tuples_per_sec);
+          if (overhead_batch_ns < 0 || overhead_ns < overhead_batch_ns) {
+            overhead_batch_ns = overhead_ns;
           }
         }
       }
       JsonRow& row = out.AddRow();
       row.Add("section", "join_4j_static")
           .Add("mode", mode.name)
-          .Add("dispatch", DispatchName(mode))
           .Add("index", "flat")
           .Add("batch_size", static_cast<int>(mode.batch_size))
           .Add("machines", static_cast<int>(machines))
@@ -537,7 +511,7 @@ int main() {
   std::printf("\n%-12s %10s %10s %8s   (egress axis, 4J, matchy stream)\n",
               "mode", "poll t/s", "sink t/s", "ratio");
   double egress_ratio_b64 = 0;
-  const char* kEgressModes[] = {"batched-1", "b64/batch", "b256/batch"};
+  const char* kEgressModes[] = {"batched-1", "b64", "b256"};
   for (const char* mode_name : kEgressModes) {
     const Mode* found = nullptr;
     for (const Mode& m : kJoinModes) {
@@ -555,7 +529,7 @@ int main() {
     const double ratio = poll.tuples_per_sec > 0
                              ? sink.tuples_per_sec / poll.tuples_per_sec
                              : 0;
-    if (std::string(mode_name) == "b64/batch") egress_ratio_b64 = ratio;
+    if (std::string(mode_name) == "b64") egress_ratio_b64 = ratio;
     std::printf("%-12s %10.0f %10.0f %7.2fx\n", mode.name,
                 poll.tuples_per_sec, sink.tuples_per_sec, ratio);
     for (int e = 0; e < 2; ++e) {
@@ -563,7 +537,6 @@ int main() {
       out.AddRow()
           .Add("section", "join_4j_egress")
           .Add("mode", mode.name)
-          .Add("dispatch", DispatchName(mode))
           .Add("egress", e == 0 ? "poll" : "sink")
           .Add("batch_size", static_cast<int>(mode.batch_size))
           .Add("machines", 4)
@@ -575,7 +548,7 @@ int main() {
     }
   }
 
-  // Telemetry axis at the 4J operating point: the b64/batch run with the
+  // Telemetry axis at the 4J operating point: the b64 run with the
   // full observability plane live (per-task registry publishing, per-edge
   // counters, trace ring, sampler thread at the default 10 ms period) vs.
   // telemetry off, measured back-to-back so host drift cancels. Counter
@@ -583,9 +556,9 @@ int main() {
   // ratio must stay within 2%.
   const Mode* b64_batch = nullptr;
   for (const Mode& m : kJoinModes) {
-    if (std::string(m.name) == "b64/batch") b64_batch = &m;
+    if (std::string(m.name) == "b64") b64_batch = &m;
   }
-  AJOIN_CHECK_MSG(b64_batch != nullptr, "b64/batch missing from kJoinModes");
+  AJOIN_CHECK_MSG(b64_batch != nullptr, "b64 missing from kJoinModes");
   JoinRunResult tel_off = JoinRun(*b64_batch, 4, stream, /*reps=*/5);
   JoinRunResult tel_on = JoinRun(*b64_batch, 4, stream, /*reps=*/5,
                                  /*egress_sink=*/false, /*telemetry=*/true);
@@ -593,7 +566,7 @@ int main() {
       tel_off.tuples_per_sec > 0
           ? tel_on.tuples_per_sec / tel_off.tuples_per_sec
           : 0;
-  std::printf("\n%-14s %12s   (telemetry axis, b64/batch, 4J)\n", "telemetry",
+  std::printf("\n%-14s %12s   (telemetry axis, b64, 4J)\n", "telemetry",
               "tuples/s");
   std::printf("%-14s %12.0f\n%-14s %12.0f   ratio %.3fx (>= 0.98 required)\n",
               "off", tel_off.tuples_per_sec, "on", tel_on.tuples_per_sec,
@@ -659,22 +632,6 @@ int main() {
       std::max(1.0, 1e9 / per_tuple_best - ceiling_ns);
   const double overhead_batched_ns = std::max(1.0, overhead_batch_ns);
   const double overhead_ratio = overhead_per_tuple_ns / overhead_batched_ns;
-  // Dispatch axis: best same-size env/batch pairing, so wire batching is
-  // equal on both sides of the ratio.
-  double dispatch_ratio = 0;
-  uint32_t dispatch_size = 0;
-  double dispatch_env_ns = 0, dispatch_batch_ns = 0;
-  for (const DispatchPair& pair : dispatch_pairs) {
-    if (pair.env < 0 || pair.batch < 0) continue;
-    const double env = std::max(1.0, pair.env);
-    const double batch = std::max(1.0, pair.batch);
-    if (env / batch > dispatch_ratio) {
-      dispatch_ratio = env / batch;
-      dispatch_size = pair.size;
-      dispatch_env_ns = env;
-      dispatch_batch_ns = batch;
-    }
-  }
   std::printf(
       "\nacceptance (batched, batch >= 64, vs per-tuple exchange):\n"
       "  raw 4-sink fan-out:          %.2fx tuples/sec (>= 3x required)\n"
@@ -684,10 +641,6 @@ int main() {
       "caps any exchange speedup)\n"
       "  4-joiner exchange overhead:  %.1fx reduction "
       "(%.0f -> %.0f ns/tuple, >= 3x required)\n"
-      "  4-joiner dispatch axis:      %.2fx overhead reduction, batch vs "
-      "envelope dispatch\n"
-      "                               (batch_size %u: %.0f -> %.0f "
-      "ns/tuple, >= 1.5x required)\n"
       "  ingress axis (4 sinks):      port-batch vs global-mutex post, "
       "%.2fx at 2 producers,\n"
       "                               %.2fx at 4 producers (>= 1.2x at >= 2 "
@@ -698,15 +651,12 @@ int main() {
       "host)\n",
       raw_speedup, e2e_speedup, ceiling_4j / per_tuple_best,
       overhead_ratio, overhead_per_tuple_ns, overhead_batched_ns,
-      dispatch_ratio, dispatch_size, dispatch_env_ns, dispatch_batch_ns,
       ingress_speedup_2p, ingress_speedup_4p, port_vs_post_2p,
       port_vs_post_4p);
   out.meta()
       .Add("raw_speedup_batched_vs_per_tuple", raw_speedup)
       .Add("join4j_e2e_speedup_batched_vs_batch1", e2e_speedup)
       .Add("join4j_overhead_reduction_batched_vs_per_tuple", overhead_ratio)
-      .Add("join4j_overhead_reduction_batch_vs_envelope_dispatch",
-           dispatch_ratio)
       .Add("ingress_speedup_portbatch_vs_post_2producers", ingress_speedup_2p)
       .Add("ingress_speedup_portbatch_vs_post_4producers", ingress_speedup_4p)
       .Add("ingress_speedup_port_vs_post_2producers", port_vs_post_2p)

@@ -19,14 +19,13 @@ constexpr uint32_t kAccumBytes = 40;
 // staging buffer).
 constexpr size_t kRunMax = 128;
 
-Row AccumRow(const WeightedAccum& acc) {
-  Row row;
-  row.Append(Value(acc.count));
-  row.Append(Value(acc.sum));
-  row.Append(Value(acc.min));
-  row.Append(Value(acc.max));
-  row.Append(Value(static_cast<int64_t>(acc.tuples)));
-  return row;
+// Appends the 5 accumulator columns [count, sum, min, max, tuples].
+void AppendAccum(const WeightedAccum& acc, Row* row) {
+  row->Append(Value(acc.count));
+  row->Append(Value(acc.sum));
+  row->Append(Value(acc.min));
+  row->Append(Value(acc.max));
+  row->Append(Value(static_cast<int64_t>(acc.tuples)));
 }
 
 WeightedAccum AccumFromRow(const Row& row, size_t base) {
@@ -144,10 +143,10 @@ void AggRouterCore::Route(Envelope& msg, Context& ctx) {
 }
 
 void AggRouterCore::HandleEpochChange(const Envelope& msg, Context& ctx) {
-  AJOIN_CHECK(msg.espec.epoch == epoch_ + 1);
-  AJOIN_CHECK(msg.espec.agg_assign.size() == config_.partitions);
-  assign_ = msg.espec.agg_assign;
-  epoch_ = msg.espec.epoch;
+  AJOIN_CHECK(msg.espec->epoch == epoch_ + 1);
+  AJOIN_CHECK(msg.espec->agg_assign.size() == config_.partitions);
+  assign_ = msg.espec->agg_assign;
+  epoch_ = msg.espec->epoch;
   ++metrics_.epoch_changes;
   if (config_.trace != nullptr) {
     config_.trace->Record(TraceEventKind::kEpochChange, ctx.self(),
@@ -190,9 +189,9 @@ void AggRouterCore::MaybeRebalance(Context& ctx) {
   since_check_ = 0;
   const uint32_t workers = config_.num_workers;
   if (workers <= 1) return;
-  std::vector<uint64_t> load(workers, 0);
+  std::vector<uint64_t> worker_load(workers, 0);
   for (uint32_t p = 0; p < config_.partitions; ++p) {
-    load[assign_[p]] += part_loads_[p];
+    worker_load[assign_[p]] += part_loads_[p];
   }
   const double ceiling = (static_cast<double>(total_routed_) / workers) *
                          (1.0 + config_.epsilon);
@@ -205,24 +204,24 @@ void AggRouterCore::MaybeRebalance(Context& ctx) {
   for (uint32_t iter = 0; iter < config_.partitions; ++iter) {
     uint32_t heavy = 0, light = 0;
     for (uint32_t w = 1; w < workers; ++w) {
-      if (load[w] > load[heavy]) heavy = w;
-      if (load[w] < load[light]) light = w;
+      if (worker_load[w] > worker_load[heavy]) heavy = w;
+      if (worker_load[w] < worker_load[light]) light = w;
     }
-    if (static_cast<double>(load[heavy]) <= ceiling) break;
+    if (static_cast<double>(worker_load[heavy]) <= ceiling) break;
     int best = -1;
     uint64_t best_load = 0;
     for (uint32_t p = 0; p < config_.partitions; ++p) {
       if (next[p] != heavy) continue;
       const uint64_t pl = part_loads_[p];
-      if (pl > best_load && load[light] + pl < load[heavy]) {
+      if (pl > best_load && worker_load[light] + pl < worker_load[heavy]) {
         best = static_cast<int>(p);
         best_load = pl;
       }
     }
     if (best < 0) break;  // heavy worker is one indivisible hot partition
     next[static_cast<size_t>(best)] = light;
-    load[heavy] -= best_load;
-    load[light] += best_load;
+    worker_load[heavy] -= best_load;
+    worker_load[light] += best_load;
     moved = true;
   }
   if (!moved) return;
@@ -233,8 +232,9 @@ void AggRouterCore::MaybeRebalance(Context& ctx) {
   for (uint32_t r = 0; r < config_.num_routers; ++r) {
     Envelope change;
     change.type = MsgType::kEpochChange;
-    change.espec.epoch = epoch_ + 1;
-    change.espec.agg_assign = next;
+    EpochSpec& spec = change.espec.emplace();
+    spec.epoch = epoch_ + 1;
+    spec.agg_assign = next;
     // Includes this router itself: the change loops through our own inbox,
     // serializing behind anything already queued (join-controller idiom).
     ctx.Send(config_.router_task_base + static_cast<int>(r),
@@ -354,17 +354,17 @@ void AggWorkerCore::HandleMigEnd(Context& ctx) {
 void AggWorkerCore::HandleSignal(const Envelope& msg, Context& ctx) {
   if (signals_seen_ == 0) {
     AJOIN_CHECK(!migrating_);
-    AJOIN_CHECK(msg.espec.epoch == epoch_ + 1);
-    AJOIN_CHECK(msg.espec.agg_assign.size() == config_.partitions);
+    AJOIN_CHECK(msg.espec->epoch == epoch_ + 1);
+    AJOIN_CHECK(msg.espec->agg_assign.size() == config_.partitions);
     migrating_ = true;
-    new_assign_ = msg.espec.agg_assign;
+    new_assign_ = msg.espec->agg_assign;
     if (config_.trace != nullptr) {
       config_.trace->Record(TraceEventKind::kMigrationBegin, ctx.self(),
                             ctx.NowMicros(), epoch_ + 1, config_.index);
     }
   } else {
     AJOIN_CHECK(migrating_);
-    AJOIN_CHECK(msg.espec.epoch == epoch_ + 1);
+    AJOIN_CHECK(msg.espec->epoch == epoch_ + 1);
   }
   ++signals_seen_;
   AJOIN_CHECK(signals_seen_ <= config_.num_routers);
@@ -397,16 +397,16 @@ void AggWorkerCore::ShipState(Context& ctx) {
         kept.push_back(cell);
         return;
       }
-      Envelope mu;
+      TupleBatch& run = runs[target];
+      Envelope& mu = run.items.emplace_back();
       mu.type = MsgType::kMigrate;
       mu.key = cell.key;
       mu.tag = cell.hash;
       mu.epoch = epoch_ + 1;
       mu.bytes = kAccumBytes;
       mu.has_row = true;
-      mu.row = AccumRow(cell.acc);
-      TupleBatch& run = runs[target];
-      run.Add(std::move(mu));
+      mu.row.Reserve(5);
+      AppendAccum(cell.acc, &mu.row);
       ++mig_out_cells_;
       if (run.size() >= kRunMax) {
         ctx.SendBatch(config_.worker_task_base + target, std::move(run));
@@ -477,7 +477,7 @@ void AggWorkerCore::MaybeFinalize(Context& ctx) {
   // whole stage to reach lockstep.
   Envelope ack;
   ack.type = MsgType::kMigAck;
-  ack.espec.epoch = epoch_;
+  ack.espec.emplace().epoch = epoch_;
   ctx.Send(config_.controller_task, std::move(ack));
 }
 
@@ -503,7 +503,9 @@ void AggWorkerCore::EmitTable(Context& ctx) {
 }
 
 void AggWorkerCore::StageResult(const AggTable::Cell& cell, Context& ctx) {
-  Envelope out;
+  // Built in place in the staged run (the joiner's egress idiom).
+  if (egress_.empty()) egress_.items.reserve(kRunMax);
+  Envelope& out = egress_.items.emplace_back();
   out.type = MsgType::kResult;
   out.key = cell.key;
   out.seq = cell.hash;  // stable identity (see message.h agg contract)
@@ -511,9 +513,9 @@ void AggWorkerCore::StageResult(const AggTable::Cell& cell, Context& ctx) {
   out.bytes = kAccumBytes;
   out.weight = 1.0;  // weights were consumed into the accumulator
   out.has_row = true;
+  out.row.Reserve(6);  // [key, count, sum, min, max, tuples]
   out.row.Append(Value(cell.key));
-  out.row.AppendAll(AccumRow(cell.acc));
-  egress_.Add(std::move(out));
+  AppendAccum(cell.acc, &out.row);
   ++emitted_;
   if (egress_.size() >= kRunMax) FlushEgress(ctx);
 }
@@ -605,13 +607,9 @@ IngressPort& AggOperator::Port() {
 }
 
 void AggOperator::Push(const StreamTuple& tuple) {
-  Envelope env = MakeInput(tuple.rel, tuple.key, tuple.bytes, seq_);
-  env.has_row = tuple.has_row;
-  env.row = tuple.row;
   const int r = JoinOperator::ReshufflerFor(seq_, num_routers_);
-  ++seq_;
-  stager_->Stage(Port(), router_ids_[static_cast<size_t>(r)],
-                 std::move(env));
+  stager_->StageInput(Port(), router_ids_[static_cast<size_t>(r)], tuple,
+                      seq_++, /*ingest_us=*/0);
 }
 
 void AggOperator::SetIngressBatch(uint32_t target) {

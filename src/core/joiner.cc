@@ -257,8 +257,11 @@ void JoinerCore::StageResult(const Envelope& msg, const StoredEntry& matched,
   // kResult field use is documented at the MsgType declaration: the pair's
   // identity travels as (seq, tag) = (r_seq, s_seq) and the payload as the
   // concatenated row, so a sink can reproduce CollectPairs() exactly and a
-  // downstream stage sees the same row LocalJoin would materialize.
-  Envelope res;
+  // downstream stage sees the same row LocalJoin would materialize. The
+  // result is built in place in the staged run; a run leaves with its
+  // buffer, so a fresh run reserves its full size once.
+  if (egress_.empty()) egress_.items.reserve(kEgressRunMax);
+  Envelope& res = egress_.items.emplace_back();
   res.type = MsgType::kResult;
   res.rel = msg_rel;
   res.key = msg.key;
@@ -277,10 +280,10 @@ void JoinerCore::StageResult(const Envelope& msg, const StoredEntry& matched,
     const Row& r_row = msg_rel == Rel::kR ? msg.row : matched.row;
     const Row& s_row = msg_rel == Rel::kR ? matched.row : msg.row;
     res.has_row = true;
+    res.row.Reserve(r_row.num_values() + s_row.num_values());
     res.row.AppendAll(r_row);
     res.row.AppendAll(s_row);
   }
-  egress_.Add(std::move(res));
   if (egress_.size() >= kEgressRunMax) FlushEgress(ctx);
 }
 
@@ -403,7 +406,7 @@ void JoinerCore::HandleMigEnd(Envelope& msg, Context& ctx) {
 // ---------------------------------------------------------------------------
 
 void JoinerCore::HandleSignal(Envelope& msg, Context& ctx) {
-  const EpochSpec& spec = msg.espec;
+  const EpochSpec& spec = *msg.espec;
   AJOIN_CHECK(spec.group == config_.group);
   if (signals_seen_ == 0) {
     StartMigration(spec, ctx);
@@ -590,8 +593,9 @@ void JoinerCore::FinalizeMigration(Context& ctx) {
   Envelope ack;
   ack.type = MsgType::kMigAck;
   ack.group = config_.group;
-  ack.espec.group = config_.group;
-  ack.espec.epoch = epoch_;
+  EpochSpec& done = ack.espec.emplace();
+  done.group = config_.group;
+  done.epoch = epoch_;
   ctx.Send(config_.controller_task, std::move(ack));
   // A migration that was in flight when the last EOS arrived deferred the
   // downstream EOS forward to this point.
@@ -639,9 +643,14 @@ bool JoinerCore::AdmitProbe() {
 void JoinerCore::HandleShed(Envelope& msg, Context& ctx) {
   // Admission-rate change. Every reshuffler forwards the controller's kShed
   // to every allocated joiner so the new rate serializes behind each data
-  // edge, which means the same rate arrives num_reshufflers times — act
-  // (and trace) only on an actual change. Clamped to [1, kShedExactPpm]:
-  // probability zero would make the Horvitz-Thompson weight infinite.
+  // edge, which means each rate arrives num_reshufflers times, in no fixed
+  // order across edges. The operator's version stamp (seq) orders them:
+  // apply only a version newer than the last applied, so a late copy of an
+  // older rate can never switch the joiner back. Act (and trace) only on an
+  // actual change. Clamped to [1, kShedExactPpm]: probability zero would
+  // make the Horvitz-Thompson weight infinite.
+  if (msg.seq <= shed_version_) return;
+  shed_version_ = msg.seq;
   const uint32_t rate = static_cast<uint32_t>(
       std::min<int64_t>(std::max<int64_t>(msg.key, 1), kShedExactPpm));
   if (rate == shed_rate_ppm_) return;
@@ -665,6 +674,8 @@ namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x414a534eu;  // "AJSN"
 constexpr uint16_t kSnapshotVersion = 1;
+// Smallest serialized entry: key, tag, seq, bytes, epoch, has_row flag.
+constexpr size_t kMinEntryBytes = 8 + 8 + 8 + 4 + 4 + 1;
 
 template <typename T>
 void PutRaw(T v, std::vector<uint8_t>* out) {
@@ -728,6 +739,11 @@ Status JoinerCore::RestoreState(const std::vector<uint8_t>& buf) {
     uint64_t count;
     if (!GetRaw(buf, &offset, &count)) {
       return Status::InvalidArgument("truncated entry count");
+    }
+    // Bound the count by the bytes left before reserving, so a hostile
+    // count fails here instead of throwing out of the allocator.
+    if (count > (buf.size() - offset) / kMinEntryBytes) {
+      return Status::InvalidArgument("entry count exceeds snapshot size");
     }
     restored[rel_i].reserve(count);
     for (uint64_t i = 0; i < count; ++i) {

@@ -140,6 +140,8 @@ class JoinerCore : public Task {
     bool has_row = false;
     Row row;
   };
+  static_assert(sizeof(StoredEntry) <= 48,
+                "stored entries are the joiner's state; keep Row one pointer");
 
   // Probe scopes (see header comment).
   enum class Scope {
@@ -217,6 +219,7 @@ class JoinerCore : public Task {
   // state movement is untouched. Emitted results carry Horvitz-Thompson
   // weight 1/p (= shed_weight_) so weighted aggregates stay unbiased.
   uint32_t shed_rate_ppm_ = static_cast<uint32_t>(kShedExactPpm);
+  uint64_t shed_version_ = 0; // version (kShed seq) of the last applied rate
   double shed_weight_ = 1.0;  // 1 / admission probability
   double emit_weight_ = 1.0;  // weight StageResult stamps on staged results
   Rng shed_rng_;              // deterministic per-slot admission sampler

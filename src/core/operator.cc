@@ -10,22 +10,6 @@ namespace ajoin {
 
 namespace {
 
-Envelope InputEnvelope(const StreamTuple& tuple, uint64_t seq,
-                       uint64_t ingest_us) {
-  Envelope env;
-  env.type = MsgType::kInput;
-  env.rel = tuple.rel;
-  env.key = tuple.key;
-  env.bytes = tuple.bytes;
-  env.seq = seq;
-  env.ingest_us = ingest_us;
-  if (tuple.has_row) {
-    env.has_row = true;
-    env.row = tuple.row;
-  }
-  return env;
-}
-
 /// Shared egress wiring for both facades: points joiner `i` at
 /// `sinks[i % sinks.size()]`, enforcing the exchange plane's id-ordering
 /// contract (a result edge must point at a higher task id, or the
@@ -44,6 +28,38 @@ void RouteJoinerResults(Engine& engine, const std::vector<int>& joiner_ids,
 }
 
 }  // namespace
+
+void IngressStager::StageInput(IngressPort& port, int dest,
+                               const StreamTuple& tuple, uint64_t seq,
+                               uint64_t ingest_us) {
+  auto fill = [&](Envelope& env) {
+    env.type = MsgType::kInput;
+    env.rel = tuple.rel;
+    env.key = tuple.key;
+    env.bytes = tuple.bytes;
+    env.seq = seq;
+    env.ingest_us = ingest_us;
+    if (tuple.has_row) {
+      env.has_row = true;
+      env.row = tuple.row;
+    }
+  };
+  if (target_ <= 1) {
+    Envelope env;
+    fill(env);
+    port.Post(dest, std::move(env));
+    return;
+  }
+  TupleBatch& run = staged_[static_cast<size_t>(dest - dest_base_)];
+  // A posted run leaves with its buffer, so each new run reserves its full
+  // target once instead of growing by doubling.
+  if (run.empty()) run.items.reserve(target_);
+  fill(run.items.emplace_back());
+  if (run.size() >= target_) {
+    port.PostBatch(dest, std::move(run));
+    run.Clear();
+  }
+}
 
 JoinOperator::JoinOperator(Engine& engine, OperatorConfig config)
     : engine_(engine),
@@ -156,10 +172,10 @@ void JoinOperator::SetIngressBatch(uint32_t target) {
 }
 
 void JoinOperator::Push(const StreamTuple& tuple) {
-  Envelope env = InputEnvelope(tuple, seq_++, engine_.NowMicros());
-  const int r = ReshufflerFor(env.seq, num_reshufflers_);
-  stager_.Stage(Port(), reshuffler_ids_[static_cast<size_t>(r)],
-                std::move(env));
+  const uint64_t seq = seq_++;
+  const int r = ReshufflerFor(seq, num_reshufflers_);
+  stager_.StageInput(Port(), reshuffler_ids_[static_cast<size_t>(r)], tuple,
+                     seq, engine_.NowMicros());
 }
 
 void JoinOperator::RouteResultsTo(const std::vector<int>& sinks) {
@@ -196,6 +212,7 @@ bool JoinOperator::SetShedRate(uint32_t rate_ppm) {
   Envelope env;
   env.type = MsgType::kShed;
   env.key = static_cast<int64_t>(rate_ppm);
+  env.seq = ++shed_version_;
   return scale_port_->Post(reshuffler_ids_[0], std::move(env));
 }
 
@@ -376,8 +393,7 @@ void ShjOperator::SetIngressBatch(uint32_t target) {
 }
 
 void ShjOperator::Push(const StreamTuple& tuple) {
-  Envelope env = InputEnvelope(tuple, seq_++, engine_.NowMicros());
-  stager_.Stage(Port(), router_id_, std::move(env));
+  stager_.StageInput(Port(), router_id_, tuple, seq_++, engine_.NowMicros());
 }
 
 void ShjOperator::RouteResultsTo(const std::vector<int>& sinks) {

@@ -86,20 +86,12 @@ class IngressStager {
   /// Current batch target (1 = per-envelope posts).
   uint32_t target() const { return target_; }
 
-  /// Posts `env` to destination task `dest` through `port`, staging it if
-  /// the batch target is above 1 and the run is not yet full.
-  void Stage(IngressPort& port, int dest, Envelope&& env) {
-    if (target_ <= 1) {
-      port.Post(dest, std::move(env));
-      return;
-    }
-    TupleBatch& run = staged_[static_cast<size_t>(dest - dest_base_)];
-    run.Add(std::move(env));
-    if (run.size() >= target_) {
-      port.PostBatch(dest, std::move(run));
-      run.Clear();
-    }
-  }
+  /// Stages one kInput envelope for `tuple` (sequence number `seq`, ingest
+  /// stamp `ingest_us`) towards destination task `dest`, built in place in
+  /// that destination's run, and posts the run through `port` once it
+  /// reaches the batch target. A target of 1 posts the envelope alone.
+  void StageInput(IngressPort& port, int dest, const StreamTuple& tuple,
+                  uint64_t seq, uint64_t ingest_us);
 
   /// Ships every staged run (any size) through `port`.
   void FlushStaged(IngressPort& port) {
@@ -346,6 +338,10 @@ class JoinOperator : public Operator {
   // policy thread. scale_mu_ serializes concurrent scale callers.
   std::mutex scale_mu_;
   std::unique_ptr<IngressPort> scale_port_;  // guarded by scale_mu_
+  // Version stamped on each kShed (guarded by scale_mu_): joiners receive
+  // one copy per reshuffler in no fixed cross-edge order and apply only a
+  // version newer than the last one they applied.
+  uint64_t shed_version_ = 0;
 };
 
 /// Content-sensitive parallel symmetric hash join (the Shj baseline of

@@ -77,7 +77,7 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
     case MsgType::kMigAck: {
       AJOIN_CHECK_MSG(controller_ != nullptr, "ack at non-controller");
       std::vector<EpochSpec> decisions;
-      controller_->OnAck(msg.espec.group, msg.espec.epoch, &decisions);
+      controller_->OnAck(msg.espec->group, msg.espec->epoch, &decisions);
       Broadcast(decisions, ctx);
       break;
     }
@@ -122,14 +122,16 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
       // operator posts to reshuffler 0 only; it fans one copy to every peer,
       // and every reshuffler then forwards to every allocated joiner — so
       // the rate change trails, on each reshuffler->joiner edge, all data
-      // that reshuffler routed under the previous rate. Joiners absorb the
-      // num_reshufflers duplicate copies idempotently. No migration state
-      // is involved, so no controller, barrier, or ack round is needed.
+      // that reshuffler routed under the previous rate. The copies carry
+      // the operator's version stamp (seq), so a joiner applies each rate
+      // once and drops a late copy of an older rate. No migration state is
+      // involved, so no controller, barrier, or ack round is needed.
       if (config_.index == 0) {
         for (uint32_t r = 1; r < config_.num_reshufflers; ++r) {
           Envelope shed;
           shed.type = MsgType::kShed;
           shed.key = msg.key;
+          shed.seq = msg.seq;
           ctx.Send(config_.reshuffler_task_base + static_cast<int>(r),
                    std::move(shed));
         }
@@ -139,6 +141,7 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
           Envelope shed;
           shed.type = MsgType::kShed;
           shed.key = msg.key;
+          shed.seq = msg.seq;
           ctx.Send(g.block.joiner_task_base + static_cast<int>(p),
                    std::move(shed));
         }
@@ -213,19 +216,6 @@ void ReshufflerCore::HandleInputBatch(TupleBatch& batch, Context& ctx) {
           msg.rel == Rel::kR ? route.r_targets[part] : route.s_targets[part];
       const bool store = g == storage_group;
       for (size_t t = 0; t < targets.size(); ++t) {
-        Envelope data;
-        if (g == last_g && t + 1 == targets.size()) {
-          data = std::move(msg);  // final replica: steal the payload
-        } else {
-          data = msg;
-        }
-        data.type = MsgType::kData;
-        data.tag = tag;
-        data.epoch = route.epoch;
-        data.group = g;
-        data.store = store;
-        metrics_.sent_msgs++;
-        metrics_.sent_bytes += data.bytes;
         const size_t slot = route.run_base + targets[t];
         TupleBatch& run = runs_[slot];
         if (run.empty()) {
@@ -235,7 +225,20 @@ void ReshufflerCore::HandleInputBatch(TupleBatch& batch, Context& ctx) {
           // doubling reallocations on every batch.
           run.items.reserve(batch.items.size());
         }
-        run.Add(std::move(data));
+        // The replica lands in its run directly, then is patched in place.
+        if (g == last_g && t + 1 == targets.size()) {
+          run.items.push_back(std::move(msg));  // final replica: steal it
+        } else {
+          run.items.push_back(msg);
+        }
+        Envelope& data = run.items.back();
+        data.type = MsgType::kData;
+        data.tag = tag;
+        data.epoch = route.epoch;
+        data.group = g;
+        data.store = store;
+        metrics_.sent_msgs++;
+        metrics_.sent_bytes += data.bytes;
       }
     }
   }
@@ -312,7 +315,7 @@ void ReshufflerCore::Broadcast(const std::vector<EpochSpec>& specs,
 }
 
 void ReshufflerCore::HandleEpochChange(Envelope& msg, Context& ctx) {
-  const EpochSpec& spec = msg.espec;
+  const EpochSpec& spec = *msg.espec;
   GroupRoute& g = groups_[spec.group];
   AJOIN_CHECK_MSG(spec.epoch == g.epoch + 1, "epoch change out of order");
   g.layout = spec.expansion     ? g.layout.Expand()

@@ -56,11 +56,6 @@ struct ExchangeConfig {
   /// inbox runs dry; the ingress (driver) side checks on every Post and at
   /// WaitQuiescent.
   uint64_t flush_deadline_us = 200;
-  /// Consumed by ThreadEngine, not the plane: hand consumed batches to
-  /// Task::OnBatch (true, default) or unpack them into one OnMessage call
-  /// per envelope (false — the per-envelope dispatch baseline the
-  /// fig_exchange_throughput bench measures against).
-  bool batch_dispatch = true;
   /// External producer slots available to Engine::OpenIngress. Each slot is
   /// a full per-consumer edge row (rings created lazily on first send), so
   /// the cost of a generous bound is pointers.

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/core/mapping.h"
 #include "src/localjoin/predicate.h"
 #include "src/tuple/row.h"
@@ -45,7 +47,9 @@ enum class MsgType : uint8_t {
                   // ingress edge.
   kShed,          // operator/shed controller -> reshufflers -> joiners:
                   // admission-rate change; key = admitted probe fraction in
-                  // parts-per-million (kShedExactPpm = shedding off).
+                  // parts-per-million (kShedExactPpm = shedding off);
+                  // seq = operator-stamped version, increasing per change
+                  // (joiners drop any copy not newer than the last applied).
                   // Control: cuts batches and serializes behind routed data
                   // on every edge it travels, so a rate change can never
                   // overtake the tuples admitted under the previous rate.
@@ -86,30 +90,80 @@ struct EpochSpec {
   std::vector<uint32_t> agg_assign;
 };
 
+/// Owning pointer with value semantics: copying deep-copies the pointee,
+/// and an empty box costs one null pointer. Envelope keeps its control-only
+/// payload behind one, so data envelopes stay small and never allocate for
+/// it.
+template <typename T>
+class Boxed {
+ public:
+  Boxed() = default;
+  Boxed(const Boxed& other)
+      : ptr_(other.ptr_ ? std::make_unique<T>(*other.ptr_) : nullptr) {}
+  Boxed(Boxed&&) noexcept = default;
+  Boxed& operator=(const Boxed& other) {
+    if (this != &other) {
+      ptr_ = other.ptr_ ? std::make_unique<T>(*other.ptr_) : nullptr;
+    }
+    return *this;
+  }
+  Boxed& operator=(Boxed&&) noexcept = default;
+  Boxed& operator=(T value) {
+    ptr_ = std::make_unique<T>(std::move(value));
+    return *this;
+  }
+
+  explicit operator bool() const { return ptr_ != nullptr; }
+  /// Reading an absent payload is a protocol bug (a control message built
+  /// without its descriptor), so it fails loudly instead of crashing.
+  const T& operator*() const {
+    AJOIN_CHECK_MSG(ptr_ != nullptr, "control payload missing");
+    return *ptr_;
+  }
+  const T* operator->() const { return &**this; }
+  /// Replaces the payload with a default-constructed one and returns it.
+  T& emplace() {
+    ptr_ = std::make_unique<T>();
+    return *ptr_;
+  }
+
+ private:
+  std::unique_ptr<T> ptr_;
+};
+
+/// The one message type on every edge. Fields are ordered so the record
+/// packs without interior padding; what a field means depends on `type`
+/// (see MsgType). Data envelopes (kInput/kData/kMigrate/kResult) leave
+/// `espec` empty and, in slim mode, `row` empty, so they carry no heap
+/// payload; see ARCHITECTURE.md "Envelope layout".
 struct Envelope {
   MsgType type = MsgType::kInput;
-  int32_t from = -1;  // sender task id (engine-level)
-
-  // -- tuple payload (kInput, kData, kMigrate) --
   Rel rel = Rel::kR;
+  bool store = true;    // store-and-join vs probe-only (cross-group probes)
+  bool has_row = false;
+  int32_t from = -1;    // sender task id (engine-level)
+
+  // -- tuple payload (kInput, kData, kMigrate, kResult) --
   int64_t key = 0;      // join key (slim mode; also cached in row mode)
   uint64_t tag = 0;     // uniform partition tag (assigned by reshuffler)
-  uint64_t seq = 0;     // global arrival sequence number
+  uint64_t seq = 0;     // global arrival sequence number (kShed: version)
   uint32_t bytes = 0;   // accounted tuple size
   uint32_t epoch = 0;   // epoch the tuple was routed under (kData)
   uint32_t group = 0;   // target group (kData/kMigrate)
-  bool store = true;    // store-and-join vs probe-only (cross-group probes)
   uint64_t ingest_us = 0;  // arrival timestamp for latency measurement
   /// kResult only: Horvitz-Thompson weight. Exact results carry 1.0; a
   /// joiner probing at admission rate p stamps 1/p, so any downstream
   /// weighted aggregate stays an unbiased estimator of the exact join.
   double weight = 1.0;
-  bool has_row = false;
   Row row;
 
-  // -- control payload --
-  EpochSpec espec;
+  // -- control payload (kEpochChange, kReshufSignal, kMigAck), out of line --
+  Boxed<EpochSpec> espec;
 };
+
+static_assert(sizeof(Envelope) <= 80,
+              "Envelope is copied several times per input tuple; keep it "
+              "within 80 bytes (control payloads go behind espec)");
 
 /// Convenience constructors.
 Envelope MakeInput(Rel rel, int64_t key, uint32_t bytes, uint64_t seq);

@@ -342,23 +342,14 @@ void ThreadEngine::WorkerLoop(int id) {
   ExchangePlane::Outbox* outbox = plane_->outbox(static_cast<size_t>(id));
   BatchedContext ctx(this, id, outbox);
   Task* task = tasks_[static_cast<size_t>(id)].get();
-  const bool batch_dispatch = exchange_config_.batch_dispatch;
   size_t cursor = 0;
   TupleBatch batch;
   while (true) {
     if (plane_->PopAny(id, &cursor, &batch)) {
       const uint64_t n = batch.size();
-      if (batch_dispatch) {
-        // Hand the whole batch to the task: one virtual call (and one shot
-        // at the operator's batch specializations) per batch.
-        task->OnBatch(std::move(batch), ctx);
-      } else {
-        // Per-envelope dispatch baseline (ExchangeConfig::batch_dispatch =
-        // false): unpack here, exactly the PR-1 behavior.
-        for (Envelope& msg : batch.items) {
-          task->OnMessage(std::move(msg), ctx);
-        }
-      }
+      // Hand the whole batch to the task: one virtual call (and one shot
+      // at the operator's batch specializations) per batch.
+      task->OnBatch(std::move(batch), ctx);
       batch.Clear();
       DecInflight(n);
       // One clock read per processed batch drives the deadline flushes

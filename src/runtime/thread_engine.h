@@ -3,12 +3,12 @@
 // with size/deadline/control batching and credit-based backpressure. A slow
 // joiner stalls only the edges feeding it; the driver blocks only when the
 // specific ingress edge it is posting on is out of credits. Consumed batches
-// are handed to Task::OnBatch whole (ExchangeConfig::batch_dispatch, default
-// true), so operators with batch specializations (reshuffler routing, joiner
-// store/probe) skip the per-envelope dispatch entirely; setting it false
-// unpacks batches into one OnMessage call per envelope. (The original
-// per-tuple mutex+deque Channel plane is retired; ExchangeConfig with
-// batch_size = 1 is the per-tuple reference configuration.)
+// are handed to Task::OnBatch whole, so operators with batch specializations
+// (reshuffler routing, joiner store/probe) skip the per-envelope dispatch
+// entirely; tasks without one fall back to Task::OnBatch's default
+// per-envelope loop. (The original per-tuple mutex+deque Channel plane is
+// retired; ExchangeConfig with batch_size = 1 is the per-tuple reference
+// configuration.)
 //
 // Quiescence: an in-flight envelope counter incremented at send (including
 // envelopes still buffered in a batcher) and decremented once per consumed

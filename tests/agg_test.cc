@@ -38,6 +38,7 @@
 #include "src/common/random.h"
 #include "src/core/agg.h"
 #include "src/core/operator.h"
+#include "src/core/partition.h"
 #include "src/index/agg_table.h"
 #include "src/net/message.h"
 #include "src/query/dataflow.h"
@@ -257,6 +258,81 @@ TEST(FoldAggRows, FoldsAdditiveDeltasPerKey) {
   WeightedAccum want = first;
   want.Absorb(second);
   EXPECT_TRUE(folded[1].acc == want);
+}
+
+// ---- Control payload: the assignment vector travels out of line -----------
+
+/// Records sends instead of dispatching them.
+class CaptureContext : public Context {
+ public:
+  int self() const override { return 0; }
+  void Send(int to, Envelope msg) override {
+    sent.emplace_back(to, std::move(msg));
+  }
+  uint64_t NowMicros() const override { return 0; }
+  std::vector<std::pair<int, Envelope>> sent;
+};
+
+TEST(AggControl, AssignmentSurvivesBroadcastToRoutersAndWorkers) {
+  // The controller router's rebalance ships the whole partition -> worker
+  // assignment in the kEpochChange control payload, one copy per router;
+  // each router then copies it into a kReshufSignal per worker. Every copy
+  // must carry the same vector the controller decided.
+  constexpr uint32_t kPartitions = 8;
+  constexpr int kWorkerBase = 10;
+  AggRouterCore::Config rc;
+  rc.num_routers = 2;
+  rc.num_workers = 2;
+  rc.partitions = kPartitions;
+  rc.worker_task_base = kWorkerBase;
+  rc.min_total_before_adapt = 16;
+  rc.check_every = 16;
+  AggRouterCore controller(rc);
+  // Load two partitions that both start on worker 0 (initial assignment is
+  // partition % 2), so the greedy rebalance has one to move.
+  std::vector<int64_t> keys;
+  std::vector<uint32_t> parts;
+  for (int64_t key = 0; keys.size() < 2; ++key) {
+    const uint32_t p =
+        PartitionOf(SplitMix64(static_cast<uint64_t>(key)), kPartitions);
+    if (p % 2 != 0 || std::count(parts.begin(), parts.end(), p) != 0) {
+      continue;
+    }
+    keys.push_back(key);
+    parts.push_back(p);
+  }
+  CaptureContext ctx;
+  for (uint64_t i = 0; i < 32; ++i) {
+    Envelope in = MakeInput(Rel::kR, keys[i % 2], 8, i);
+    controller.OnMessage(std::move(in), ctx);
+  }
+  std::vector<Envelope> changes;
+  for (auto& [to, env] : ctx.sent) {
+    if (env.type == MsgType::kEpochChange) changes.push_back(env);
+  }
+  ASSERT_EQ(changes.size(), 2u);  // one per router, the controller included
+  const std::vector<uint32_t> decided = changes[0].espec->agg_assign;
+  ASSERT_EQ(decided.size(), kPartitions);
+  EXPECT_NE(decided[parts[0]], decided[parts[1]]);  // a partition moved
+  EXPECT_EQ(changes[1].espec->agg_assign, decided);
+  EXPECT_EQ(changes[1].espec->epoch, 1u);
+
+  AggRouterCore::Config peer_rc = rc;
+  peer_rc.index = 1;
+  AggRouterCore peer(peer_rc);
+  CaptureContext peer_ctx;
+  peer.OnMessage(changes[1], peer_ctx);
+  EXPECT_EQ(peer.epoch(), 1u);
+  EXPECT_EQ(peer.assignment(), decided);
+  size_t signals = 0;
+  for (auto& [to, env] : peer_ctx.sent) {
+    ASSERT_EQ(env.type, MsgType::kReshufSignal);
+    EXPECT_EQ(to, kWorkerBase + static_cast<int>(signals));
+    EXPECT_EQ(env.espec->epoch, 1u);
+    EXPECT_EQ(env.espec->agg_assign, decided);
+    ++signals;
+  }
+  EXPECT_EQ(signals, 2u);
 }
 
 // ---- Distributed differential: AggOperator vs ReferenceAggregator ----------

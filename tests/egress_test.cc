@@ -66,17 +66,16 @@ std::vector<std::pair<uint64_t, uint64_t>> ReferencePairs(
   return out;
 }
 
-enum class Plane { kSim, kPerTuple, kBatched, kBatchedEnvelope, kBatchedTiny };
+enum class Plane { kSim, kPerTuple, kBatched, kBatchedTiny };
 
 const Plane kAllPlanes[] = {Plane::kSim, Plane::kPerTuple, Plane::kBatched,
-                            Plane::kBatchedEnvelope, Plane::kBatchedTiny};
+                            Plane::kBatchedTiny};
 
 const char* PlaneName(Plane plane) {
   switch (plane) {
     case Plane::kSim: return "sim";
     case Plane::kPerTuple: return "per-tuple";
     case Plane::kBatched: return "batched";
-    case Plane::kBatchedEnvelope: return "batched-envelope";
     case Plane::kBatchedTiny: return "batched-tiny";
   }
   return "?";
@@ -93,11 +92,6 @@ std::unique_ptr<Engine> MakeEngine(Plane plane) {
     }
     case Plane::kBatched:
       return std::make_unique<ThreadEngine>(ExchangeConfig{});
-    case Plane::kBatchedEnvelope: {
-      ExchangeConfig cfg;
-      cfg.batch_dispatch = false;
-      return std::make_unique<ThreadEngine>(cfg);
-    }
     case Plane::kBatchedTiny: {
       ExchangeConfig cfg;
       cfg.batch_size = 5;

@@ -55,9 +55,10 @@ Envelope Migrate(Rel rel, int64_t key, uint64_t tag, uint64_t seq,
 Envelope Signal(uint32_t epoch, Mapping mapping) {
   Envelope env;
   env.type = MsgType::kReshufSignal;
-  env.espec.group = 0;
-  env.espec.epoch = epoch;
-  env.espec.mapping = mapping;
+  EpochSpec& spec = env.espec.emplace();
+  spec.group = 0;
+  spec.epoch = epoch;
+  spec.mapping = mapping;
   return env;
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/random.h"
@@ -14,13 +15,19 @@
 namespace ajoin {
 namespace {
 
+// gtest names each case with a byte dump of its parameter, so the padding
+// is spelled out and zeroed: implicit padding holds whatever the heap held,
+// which made the registered test name differ from run to run.
 struct SweepParam {
   uint32_t machines;
+  uint32_t pad0;
   double epsilon;
   double skew_to_zero;
   bool r_first;
+  uint8_t pad1[7];
   uint64_t seed;
 };
+static_assert(sizeof(SweepParam) == 40, "no implicit padding");
 
 class OperatorSweep : public ::testing::TestWithParam<SweepParam> {};
 
@@ -82,7 +89,8 @@ std::vector<SweepParam> MakeSweep() {
     for (double eps : {1.0, 0.25}) {
       for (double skew : {0.0, 0.7}) {
         for (bool r_first : {false, true}) {
-          params.push_back(SweepParam{machines, eps, skew, r_first, seed++});
+          params.push_back(
+              SweepParam{machines, 0, eps, skew, r_first, {}, seed++});
         }
       }
     }

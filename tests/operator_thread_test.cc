@@ -60,21 +60,18 @@ std::vector<std::pair<uint64_t, uint64_t>> ReferencePairs(
 /// Exchange planes every protocol test runs against: the per-tuple
 /// reference (batch_size = 1, the configuration that replaced the retired
 /// mutex Channel plane), the default batched plane (whole batches handed to
-/// Task::OnBatch), the batched plane with per-envelope dispatch (the engine
-/// unpacks batches into OnMessage — the operators' batch specializations
-/// never run), and a stress config with tiny batches and a tiny credit
+/// Task::OnBatch), and a stress config with tiny batches and a tiny credit
 /// window so size flushes, deadline flushes, and credit stalls all
 /// interleave with migrations while OnBatch sees every odd batch shape.
-enum class Plane { kPerTuple, kBatched, kBatchedEnvelope, kBatchedTiny };
+enum class Plane { kPerTuple, kBatched, kBatchedTiny };
 
 const Plane kAllPlanes[] = {Plane::kPerTuple, Plane::kBatched,
-                            Plane::kBatchedEnvelope, Plane::kBatchedTiny};
+                            Plane::kBatchedTiny};
 
 const char* PlaneName(Plane plane) {
   switch (plane) {
     case Plane::kPerTuple: return "per-tuple";
     case Plane::kBatched: return "batched";
-    case Plane::kBatchedEnvelope: return "batched-envelope";
     case Plane::kBatchedTiny: return "batched-tiny";
   }
   return "?";
@@ -89,11 +86,6 @@ std::unique_ptr<ThreadEngine> MakeEngine(Plane plane) {
     }
     case Plane::kBatched:
       return std::make_unique<ThreadEngine>(ExchangeConfig{});
-    case Plane::kBatchedEnvelope: {
-      ExchangeConfig cfg;
-      cfg.batch_dispatch = false;
-      return std::make_unique<ThreadEngine>(cfg);
-    }
     case Plane::kBatchedTiny: {
       ExchangeConfig cfg;
       cfg.batch_size = 5;
@@ -227,27 +219,28 @@ TEST(OperatorThread, RowModeResidualPredicate) {
   }
 }
 
-TEST(OperatorThread, BatchDispatchMatchesEnvelopeDispatchAcrossMigration) {
+TEST(OperatorThread, BatchedPlaneMatchesPerTuplePlaneAcrossMigration) {
   // The OnBatch specializations (reshuffler one-pass routing, joiner
-  // run-grouped store/probe) must be observably equivalent to the
-  // per-envelope default loop — including across live migrations, where the
-  // joiner falls back to per-envelope Δ/Δ' handling mid-stream. Aggressive
-  // epsilon guarantees at least one migration is in flight while data keeps
-  // arriving.
+  // run-grouped store/probe) must be observably equivalent to one-envelope
+  // batches, where every run is a single tuple and store/probe interleave
+  // exactly as per-envelope dispatch would — including across live
+  // migrations, where the joiner falls back to per-envelope Δ/Δ' handling
+  // mid-stream. Aggressive epsilon guarantees at least one migration is in
+  // flight while data keeps arriving.
   JoinSpec spec = MakeEquiJoin(0, 0);
   for (uint64_t seed = 50; seed < 54; ++seed) {
     auto stream = MakeStream(400 + 13 * seed, 1200 + 29 * seed, 24, seed);
     auto want = ReferencePairs(stream, spec);
-    uint64_t migrations_batch = 0, migrations_env = 0;
+    uint64_t migrations_batch = 0, migrations_tuple = 0;
     auto with_batch = RunThreaded(stream, spec, 8, 0.25, &migrations_batch,
                                   Plane::kBatched);
-    auto with_env = RunThreaded(stream, spec, 8, 0.25, &migrations_env,
-                                Plane::kBatchedEnvelope);
+    auto with_tuple = RunThreaded(stream, spec, 8, 0.25, &migrations_tuple,
+                                  Plane::kPerTuple);
     EXPECT_EQ(with_batch, want) << "seed " << seed;
-    EXPECT_EQ(with_env, want) << "seed " << seed;
-    EXPECT_EQ(with_batch, with_env) << "seed " << seed;
+    EXPECT_EQ(with_tuple, want) << "seed " << seed;
+    EXPECT_EQ(with_batch, with_tuple) << "seed " << seed;
     EXPECT_GE(migrations_batch, 1u) << "seed " << seed;
-    EXPECT_GE(migrations_env, 1u) << "seed " << seed;
+    EXPECT_GE(migrations_tuple, 1u) << "seed " << seed;
   }
 }
 

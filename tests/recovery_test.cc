@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/common/random.h"
@@ -112,6 +113,25 @@ TEST(JoinerSnapshot, CorruptDataRejected) {
   if (snapshot.size() > 12) {
     EXPECT_FALSE(joiner.RestoreState(snapshot).ok());
   }
+}
+
+TEST(JoinerSnapshot, HostileEntryCountRejected) {
+  // A well-formed 26-byte snapshot whose first entry count claims 2^60
+  // entries: the count must be bounded by the bytes that remain, so restore
+  // returns InvalidArgument instead of throwing out of reserve().
+  JoinerConfig cfg;
+  cfg.spec = MakeEquiJoin(0, 0);
+  cfg.initial_layout = GridLayout::Initial(Mapping{1, 1});
+  cfg.num_reshufflers = 1;
+  JoinerCore joiner(cfg);
+  std::vector<uint8_t> snapshot;
+  ASSERT_TRUE(joiner.SnapshotState(&snapshot).ok());
+  ASSERT_EQ(snapshot.size(), 26u);  // magic, version, epoch, two counts
+  const uint64_t hostile = uint64_t{1} << 60;
+  std::memcpy(snapshot.data() + 10, &hostile, sizeof(hostile));
+  const Status status = joiner.RestoreState(snapshot);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(joiner.stored_count(Rel::kR), 0u);
 }
 
 // Crash-and-recover drill: run a prefix, checkpoint, keep running (the

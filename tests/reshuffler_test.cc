@@ -110,15 +110,16 @@ TEST(Reshuffler, EpochChangeSignalsAllJoinersThenReroutes) {
   CaptureContext ctx(0);
   Envelope change;
   change.type = MsgType::kEpochChange;
-  change.espec.group = 0;
-  change.espec.epoch = 1;
-  change.espec.mapping = Mapping{2, 4};
+  EpochSpec& spec = change.espec.emplace();
+  spec.group = 0;
+  spec.epoch = 1;
+  spec.mapping = Mapping{2, 4};
   reshuffler.OnMessage(std::move(change), ctx);
   // All 8 allocated joiners receive the signal.
   ASSERT_EQ(ctx.sent.size(), 8u);
   for (auto& [to, env] : ctx.sent) {
     EXPECT_EQ(env.type, MsgType::kReshufSignal);
-    EXPECT_EQ(env.espec.epoch, 1u);
+    EXPECT_EQ(env.espec->epoch, 1u);
   }
   EXPECT_EQ(reshuffler.epoch(0), 1u);
   // Subsequent tuples carry the new epoch and the new fan-out (m=4 for R).

@@ -395,6 +395,103 @@ TEST(ShedPropagation, RateReachesEveryJoinerAndTracesTransitions) {
   engine.Shutdown();
 }
 
+/// Records sends instead of dispatching them.
+class CaptureContext : public Context {
+ public:
+  explicit CaptureContext(int self) : self_(self) {}
+  int self() const override { return self_; }
+  void Send(int to, Envelope msg) override {
+    msg.from = self_;
+    sent.emplace_back(to, std::move(msg));
+  }
+  uint64_t NowMicros() const override { return 0; }
+  std::vector<std::pair<int, Envelope>> sent;
+
+ private:
+  int self_;
+};
+
+TEST(ShedPropagation, StaleCopyFromAnotherReshufflerNeverRevertsRate) {
+  // Two rate changes (enter sampling at 1/4, then restore exact) fan out
+  // through two reshufflers, so the joiner receives each rate once per
+  // reshuffler->joiner edge. Edges are FIFO but unordered with respect to
+  // each other: replay every interleaving of the two edges' copy sequences.
+  // Once the newer rate has landed, a late copy of the older one must be
+  // dropped — it may never put the joiner back into sampling.
+  constexpr int kJoinerTask = 100;
+  auto reshuffler_config = [](uint32_t index) {
+    ReshufflerConfig cfg;
+    cfg.index = index;
+    cfg.num_reshufflers = 2;
+    GroupBlock block;
+    block.joiner_task_base = kJoinerTask;
+    block.alloc_machines = 1;
+    block.initial_layout = GridLayout::Initial(Mapping{1, 1});
+    block.cum_prob = 1.0;
+    cfg.groups.push_back(block);
+    return cfg;
+  };
+  ReshufflerCore r0(reshuffler_config(0));
+  ReshufflerCore r1(reshuffler_config(1));
+  CaptureContext ctx0(0), ctx1(1);
+  const uint32_t rates[2] = {kExact / 4, kExact};
+  for (uint64_t version = 1; version <= 2; ++version) {
+    Envelope shed;  // as JoinOperator::SetShedRate posts it
+    shed.type = MsgType::kShed;
+    shed.key = rates[version - 1];
+    shed.seq = version;
+    r0.OnMessage(std::move(shed), ctx0);
+  }
+  // Reshuffler 0 fans each change to its peer, which forwards it on.
+  for (auto& [to, env] : ctx0.sent) {
+    if (to == 1) r1.OnMessage(env, ctx1);
+  }
+  std::vector<Envelope> edge[2];
+  for (int r = 0; r < 2; ++r) {
+    for (auto& [to, env] : (r == 0 ? ctx0 : ctx1).sent) {
+      if (to != kJoinerTask) continue;
+      ASSERT_EQ(env.type, MsgType::kShed);
+      ASSERT_EQ(env.seq, edge[r].size() + 1) << "version not forwarded";
+      edge[r].push_back(env);
+    }
+    ASSERT_EQ(edge[r].size(), 2u);
+  }
+
+  // Interleavings of two 2-message FIFO sequences: choose the positions
+  // (of 4) that edge 0's copies take.
+  int interleavings = 0;
+  for (unsigned mask = 0; mask < 16; ++mask) {
+    if (__builtin_popcount(mask) != 2) continue;
+    ++interleavings;
+    TraceRing trace(64);
+    JoinerConfig jc;
+    jc.spec = MakeEquiJoin(0, 0);
+    jc.initial_layout = GridLayout::Initial(Mapping{1, 1});
+    jc.num_reshufflers = 2;
+    jc.trace = &trace;
+    JoinerCore joiner(jc);
+    CaptureContext jctx(kJoinerTask);
+    size_t next[2] = {0, 0};
+    bool newest_applied = false;
+    for (int pos = 0; pos < 4; ++pos) {
+      const int r = (mask >> pos) & 1u ? 0 : 1;
+      const Envelope& copy = edge[r][next[r]++];
+      joiner.OnMessage(copy, jctx);
+      newest_applied |= copy.seq == 2;
+      if (newest_applied) {
+        EXPECT_FALSE(joiner.shedding()) << "mask " << mask << " pos " << pos;
+        EXPECT_EQ(joiner.shed_rate_ppm(), kExact);
+      }
+    }
+    // At most one enter and one exit: a reverted rate would add a second
+    // enter (and a second exit when the newer copy re-applied).
+    EXPECT_LE(CountTraceKind(trace, TraceEventKind::kShedEnter), 1u);
+    EXPECT_LE(CountTraceKind(trace, TraceEventKind::kShedExit), 1u);
+    EXPECT_EQ(CountTraceKind(trace, TraceEventKind::kShedRateChange), 0u);
+  }
+  EXPECT_EQ(interleavings, 6);
+}
+
 TEST(ShedPropagation, SkippedProbesShowUpInTelemetry) {
   ThreadEngine engine{ExchangeConfig{}};
   MetricsRegistry registry;

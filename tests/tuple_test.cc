@@ -1,5 +1,6 @@
 // Value / Row / Schema / serde tests, plus the message-envelope contract
-// (every MsgType named, control/data classification total).
+// (every MsgType named, control/data classification total, the compact
+// record: size bound, out-of-line control payload, Row value semantics).
 
 #include <gtest/gtest.h>
 
@@ -60,6 +61,88 @@ TEST(Row, BasicOps) {
   EXPECT_EQ(row.String(1), "xyz");
   EXPECT_DOUBLE_EQ(row.Double(2), 2.25);
   EXPECT_EQ(row.ToString(), "[5, xyz, 2.25]");
+}
+
+Row MixedRow() {
+  Row row;
+  row.Append(Value(int64_t{5}));
+  row.Append(Value("xyz"));
+  row.Append(Value(2.25));
+  return row;
+}
+
+TEST(Row, CopyIsIndependent) {
+  Row original = MixedRow();
+  Row copy(original);
+  EXPECT_EQ(copy, original);
+  copy.value(0) = Value(int64_t{6});
+  copy.Append(Value(int64_t{7}));
+  EXPECT_EQ(original.Int64(0), 5);
+  EXPECT_EQ(original.num_values(), 3u);
+  Row assigned;
+  assigned = original;
+  original.value(1) = Value("abc");
+  EXPECT_EQ(assigned.String(1), "xyz");
+  const Row& alias = assigned;
+  assigned = alias;  // self-assignment keeps the row intact
+  EXPECT_EQ(assigned.ToString(), "[5, xyz, 2.25]");
+}
+
+TEST(Row, EmptyRowEqualsDefaultRow) {
+  Row empty(std::vector<Value>{});
+  Row built = MixedRow();
+  Row drained = std::move(built);
+  EXPECT_EQ(empty, Row());
+  EXPECT_EQ(Row(empty), Row());
+  EXPECT_EQ(empty.num_values(), 0u);
+  EXPECT_FALSE(drained == Row());
+  EXPECT_EQ(Row().ByteSize(), 2u);
+  EXPECT_EQ(Row().ToString(), "[]");
+}
+
+TEST(Row, AppendAllOntoEmptyRow) {
+  Row row;
+  row.AppendAll(Row());  // empty onto empty stays empty
+  EXPECT_EQ(row, Row());
+  row.AppendAll(MixedRow());
+  EXPECT_EQ(row, MixedRow());
+  row.AppendAll(row);  // self-concatenation reads the pre-append values
+  EXPECT_EQ(row.ToString(), "[5, xyz, 2.25, 5, xyz, 2.25]");
+  Row sized;
+  sized.Reserve(6);
+  sized.AppendAll(MixedRow());
+  sized.AppendAll(MixedRow());
+  EXPECT_EQ(sized, row);
+}
+
+TEST(Row, MovedFromRowIsEmpty) {
+  Row row = MixedRow();
+  Row moved(std::move(row));
+  EXPECT_EQ(row.num_values(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(row, Row());
+  EXPECT_EQ(moved, MixedRow());
+  Row target = MixedRow();
+  target = std::move(moved);
+  EXPECT_EQ(moved.num_values(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(target, MixedRow());
+  row.Append(Value(int64_t{1}));  // a moved-from row is reusable
+  EXPECT_EQ(row.ToString(), "[1]");
+}
+
+TEST(Row, ByteSizeToStringAndSerdeUnchanged) {
+  // Pinned against the pre-handle vector layout: the handle is an internal
+  // change, so footprint accounting and the wire format must not move.
+  const Row row = MixedRow();
+  EXPECT_EQ(row.ByteSize(), 2u + (1 + 8) + (1 + 7) + (1 + 8));
+  EXPECT_EQ(row.ToString(), "[5, xyz, 2.25]");
+  std::vector<uint8_t> buf;
+  SerializeRow(row, &buf);
+  EXPECT_EQ(buf.size(), row.ByteSize());
+  size_t offset = 0;
+  auto got = DeserializeRow(buf, &offset);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), row);
+  EXPECT_EQ(offset, buf.size());
 }
 
 TEST(Serde, RoundTripMixedRows) {
@@ -151,6 +234,62 @@ TEST(Message, ControlDataClassification) {
   EXPECT_TRUE(IsControlMsg(MsgType::kEos));
   EXPECT_TRUE(IsControlMsg(MsgType::kExpand));
   EXPECT_TRUE(IsControlMsg(MsgType::kCheckpoint));
+}
+
+TEST(Message, EnvelopeIsCompact) {
+  // The header enforces the bound at compile time; restated here so the
+  // contract is visible next to the other envelope tests.
+  static_assert(sizeof(Envelope) <= 80, "Envelope grew past 80 bytes");
+  static_assert(sizeof(Row) == sizeof(void*), "Row is a one-pointer handle");
+  EXPECT_LE(sizeof(Envelope), 80u);
+}
+
+TEST(Message, CopiedDataEnvelopeCarriesNoControlPayload) {
+  Envelope data = MakeInput(Rel::kS, 42, 16, 7);
+  data.type = MsgType::kData;
+  data.has_row = true;
+  data.row = MixedRow();
+  const Envelope copy = data;
+  EXPECT_FALSE(copy.espec);
+  EXPECT_EQ(copy.row, data.row);
+  EXPECT_EQ(copy.key, 42);
+  EXPECT_EQ(copy.seq, 7u);
+  TupleBatch batch;
+  batch.Add(Envelope(copy));
+  const TupleBatch batch_copy = batch;
+  EXPECT_FALSE(batch_copy.items[0].espec);
+  EXPECT_EQ(batch_copy.items[0].row, MixedRow());
+  Envelope slim = MakeInput(Rel::kR, 1, 8, 0);
+  Envelope slim_copy = slim;
+  EXPECT_FALSE(slim_copy.espec);
+  EXPECT_EQ(slim_copy.row.num_values(), 0u);
+}
+
+TEST(Message, ControlPayloadDeepCopies) {
+  Envelope change;
+  change.type = MsgType::kEpochChange;
+  EpochSpec& spec = change.espec.emplace();
+  spec.group = 2;
+  spec.epoch = 3;
+  spec.mapping = Mapping{4, 2};
+  spec.agg_assign = {1, 0, 1, 0};
+  Envelope copy = change;
+  ASSERT_TRUE(copy.espec);
+  EXPECT_NE(&*copy.espec, &*change.espec);  // its own allocation
+  EXPECT_EQ(copy.espec->group, 2u);
+  EXPECT_EQ(copy.espec->epoch, 3u);
+  EXPECT_EQ(copy.espec->mapping, (Mapping{4, 2}));
+  EXPECT_EQ(copy.espec->agg_assign, (std::vector<uint32_t>{1, 0, 1, 0}));
+  copy.espec.emplace().epoch = 9;  // replacing the copy's payload ...
+  EXPECT_EQ(change.espec->epoch, 3u);  // ... leaves the original alone
+  Envelope assigned;
+  assigned = change;
+  EXPECT_EQ(assigned.espec->agg_assign, change.espec->agg_assign);
+  TupleBatch single(std::move(assigned));
+  EXPECT_EQ(single.items[0].espec->epoch, 3u);
+  Envelope plain;
+  plain.espec = *change.espec;  // assigning a descriptor boxes a copy
+  EXPECT_EQ(plain.espec->mapping, (Mapping{4, 2}));
 }
 
 TEST(Serde, EmptyRow) {
