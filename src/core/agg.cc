@@ -5,7 +5,6 @@
 
 #include "src/common/status.h"
 #include "src/common/trace_ring.h"
-#include "src/core/operator.h"
 #include "src/runtime/metrics_registry.h"
 
 namespace ajoin {
@@ -263,7 +262,11 @@ void AggRouterCore::Publish() {
 // AggWorkerCore
 // ---------------------------------------------------------------------------
 
-AggWorkerCore::AggWorkerCore(Config config) : config_(std::move(config)) {
+AggWorkerCore::AggWorkerCore(Config config)
+    : config_(std::move(config)),
+      protocol_({config_.num_routers, config_.controller_task, /*group=*/0,
+                 config_.index, config_.trace},
+                this) {
   AJOIN_CHECK(config_.num_workers >= 1 && config_.num_routers >= 1);
   assign_.resize(config_.partitions);
   for (uint32_t p = 0; p < config_.partitions; ++p) {
@@ -280,10 +283,10 @@ void AggWorkerCore::OnMessage(Envelope msg, Context& ctx) {
       HandleMigrate(msg);
       break;
     case MsgType::kMigEnd:
-      HandleMigEnd(ctx);
+      protocol_.OnMigEnd(ctx);
       break;
     case MsgType::kReshufSignal:
-      HandleSignal(msg, ctx);
+      protocol_.OnSignal(*msg.espec, ctx);
       break;
     case MsgType::kFlush:
       ++flushes_seen_;
@@ -311,10 +314,10 @@ void AggWorkerCore::MergeTuple(const Envelope& msg, Context& ctx) {
   // Steady state sees only current-epoch tuples. During a repartition (some
   // routers switched, some not) both epochs interleave; commutativity makes
   // the merge scope-free — no Δ/Δ' bookkeeping, unlike the joiner.
-  if (migrating_) {
-    AJOIN_CHECK(msg.epoch == epoch_ || msg.epoch == epoch_ + 1);
+  if (migrating()) {
+    AJOIN_CHECK(msg.epoch == epoch() || msg.epoch == epoch() + 1);
   } else {
-    AJOIN_CHECK(msg.epoch == epoch_);
+    AJOIN_CHECK(msg.epoch == epoch());
   }
   int64_t value = static_cast<int64_t>(msg.bytes);
   if (config_.value_col >= 0) {
@@ -325,7 +328,7 @@ void AggWorkerCore::MergeTuple(const Envelope& msg, Context& ctx) {
   ++in_tuples_;
   in_bytes_ += msg.bytes;
   ++merged_since_emit_;
-  if (config_.emit_every > 0 && config_.result_sink >= 0 && !migrating_ &&
+  if (config_.emit_every > 0 && config_.result_sink >= 0 && !migrating() &&
       merged_since_emit_ >= config_.emit_every) {
     merged_since_emit_ = 0;
     EmitTable(ctx);
@@ -341,37 +344,27 @@ void AggWorkerCore::HandleMigrate(const Envelope& msg) {
   ++mig_in_cells_;
 }
 
-void AggWorkerCore::HandleMigEnd(Context& ctx) {
-  if (!migrating_ || signals_seen_ < config_.num_routers) {
-    // Raced ahead of our last signal; account for it when the barrier arms.
-    ++early_migend_;
-    return;
-  }
-  --migend_pending_;
-  MaybeFinalize(ctx);
-}
-
-void AggWorkerCore::HandleSignal(const Envelope& msg, Context& ctx) {
-  if (signals_seen_ == 0) {
-    AJOIN_CHECK(!migrating_);
-    AJOIN_CHECK(msg.espec->epoch == epoch_ + 1);
-    AJOIN_CHECK(msg.espec->agg_assign.size() == config_.partitions);
-    migrating_ = true;
-    new_assign_ = msg.espec->agg_assign;
-    if (config_.trace != nullptr) {
-      config_.trace->Record(TraceEventKind::kMigrationBegin, ctx.self(),
-                            ctx.NowMicros(), epoch_ + 1, config_.index);
+uint32_t AggWorkerCore::BeginMigration(const EpochSpec& spec, Context& ctx) {
+  (void)ctx;
+  AJOIN_CHECK(spec.agg_assign.size() == config_.partitions);
+  new_assign_ = spec.agg_assign;
+  // One kMigEnd expected from each distinct old owner of a partition newly
+  // assigned here — derived deterministically from (assign, new_assign),
+  // exactly like the joiner's ExpectedSenders.
+  const uint32_t self = config_.index;
+  std::vector<uint8_t> sender(config_.num_workers, 0);
+  uint32_t expected = 0;
+  for (uint32_t p = 0; p < config_.partitions; ++p) {
+    if (new_assign_[p] == self && assign_[p] != self &&
+        sender[assign_[p]] == 0) {
+      sender[assign_[p]] = 1;
+      ++expected;
     }
-  } else {
-    AJOIN_CHECK(migrating_);
-    AJOIN_CHECK(msg.espec->epoch == epoch_ + 1);
   }
-  ++signals_seen_;
-  AJOIN_CHECK(signals_seen_ <= config_.num_routers);
-  if (signals_seen_ == config_.num_routers) ShipState(ctx);
+  return expected;
 }
 
-void AggWorkerCore::ShipState(Context& ctx) {
+void AggWorkerCore::OnLastSignal(Context& ctx) {
   // Every router has switched, so (per-edge FIFO) no old-epoch tuple for an
   // outgoing partition can still reach us: the partition's state is final
   // here and safe to ship in one shot. This is the commutativity payoff —
@@ -402,7 +395,7 @@ void AggWorkerCore::ShipState(Context& ctx) {
       mu.type = MsgType::kMigrate;
       mu.key = cell.key;
       mu.tag = cell.hash;
-      mu.epoch = epoch_ + 1;
+      mu.epoch = epoch() + 1;
       mu.bytes = kAccumBytes;
       mu.has_row = true;
       mu.row.Reserve(5);
@@ -435,56 +428,23 @@ void AggWorkerCore::ShipState(Context& ctx) {
       continue;
     }
     marked[static_cast<size_t>(target_of[p])] = 1;
-    Envelope end;
-    end.type = MsgType::kMigEnd;
-    end.epoch = epoch_ + 1;
-    ctx.Send(config_.worker_task_base + target_of[p], std::move(end));
+    protocol_.SendMigEnd(config_.worker_task_base + target_of[p], ctx);
   }
-  // Arm the receive barrier: one kMigEnd expected from each distinct old
-  // owner of a partition newly assigned here — derived deterministically
-  // from (assign, new_assign), exactly like the joiner's ExpectedSenders.
-  std::vector<uint8_t> sender(config_.num_workers, 0);
-  int expected = 0;
-  for (uint32_t p = 0; p < config_.partitions; ++p) {
-    if (new_assign_[p] == self && assign_[p] != self &&
-        sender[assign_[p]] == 0) {
-      sender[assign_[p]] = 1;
-      ++expected;
-    }
-  }
-  migend_pending_ = expected - early_migend_;
-  early_migend_ = 0;
-  MaybeFinalize(ctx);
 }
 
-void AggWorkerCore::MaybeFinalize(Context& ctx) {
-  if (!migrating_ || signals_seen_ < config_.num_routers ||
-      migend_pending_ > 0) {
-    return;
-  }
+void AggWorkerCore::FinalizeMigration(Context& ctx) {
+  (void)ctx;
+  // The protocol then acks the epoch from every worker (even untouched
+  // ones), so the controller's next decision — and the final flush — wait
+  // for the whole stage to reach lockstep.
   assign_ = new_assign_;
-  ++epoch_;
-  migrating_ = false;
-  signals_seen_ = 0;
-  migend_pending_ = 0;
   ++migrations_finalized_;
-  if (config_.trace != nullptr) {
-    config_.trace->Record(TraceEventKind::kMigrationFinalize, ctx.self(),
-                          ctx.NowMicros(), epoch_, config_.index);
-  }
-  // Universal ack: every worker acks every epoch (even untouched ones), so
-  // the controller's next decision — and the final flush — wait for the
-  // whole stage to reach lockstep.
-  Envelope ack;
-  ack.type = MsgType::kMigAck;
-  ack.espec.emplace().epoch = epoch_;
-  ctx.Send(config_.controller_task, std::move(ack));
 }
 
 void AggWorkerCore::Finish(Context& ctx) {
   // The controller only flushes when every router has drained and every
   // migration has acked, so a mid-repartition flush is a protocol bug.
-  AJOIN_CHECK(!migrating_);
+  AJOIN_CHECK(!migrating());
   AJOIN_CHECK(!flushed_);
   EmitTable(ctx);
   if (config_.result_sink >= 0) {
@@ -537,8 +497,8 @@ void AggWorkerCore::Publish() {
   s.mig_in_cells = mig_in_cells_;
   s.migrations_finalized = migrations_finalized_;
   s.emitted_results = emitted_;
-  s.epoch = epoch_;
-  s.migrating = migrating_;
+  s.epoch = epoch();
+  s.migrating = migrating();
   s.flushed = flushed_;
   config_.telemetry->PublishAgg(s);
 }
@@ -548,20 +508,21 @@ void AggWorkerCore::Publish() {
 // ---------------------------------------------------------------------------
 
 AggOperator::AggOperator(Engine& engine, AggConfig config)
-    : engine_(engine), config_(std::move(config)) {
+    : OperatorShell(engine), config_(std::move(config)) {
   AJOIN_CHECK(config_.machines >= 1);
   AJOIN_CHECK(config_.partitions >= 1 &&
               (config_.partitions & (config_.partitions - 1)) == 0);
-  num_routers_ = config_.routers != 0 ? config_.routers : config_.machines;
-  task_base_ = static_cast<int>(engine_.num_tasks());
-  const int worker_base = task_base_ + static_cast<int>(num_routers_);
-  for (uint32_t r = 0; r < num_routers_; ++r) {
+  const uint32_t num_routers =
+      config_.routers != 0 ? config_.routers : config_.machines;
+  const int task_base = static_cast<int>(engine_.num_tasks());
+  const int worker_base = task_base + static_cast<int>(num_routers);
+  for (uint32_t r = 0; r < num_routers; ++r) {
     AggRouterCore::Config rc;
     rc.index = r;
-    rc.num_routers = num_routers_;
+    rc.num_routers = num_routers;
     rc.num_workers = config_.machines;
     rc.partitions = config_.partitions;
-    rc.router_task_base = task_base_;
+    rc.router_task_base = task_base;
     rc.worker_task_base = worker_base;
     rc.key_col = config_.spec.key_col;
     rc.adaptive = config_.adaptive;
@@ -569,21 +530,21 @@ AggOperator::AggOperator(Engine& engine, AggConfig config)
     rc.min_total_before_adapt = config_.min_total_before_adapt;
     rc.check_every = config_.check_every;
     rc.trace = config_.trace;
-    const int id = task_base_ + static_cast<int>(r);
+    const int id = task_base + static_cast<int>(r);
     if (config_.registry != nullptr) {
       rc.telemetry = config_.registry->Register(id, TaskKind::kReshuffler);
     }
     const int got = engine_.AddTask(std::make_unique<AggRouterCore>(rc));
     AJOIN_CHECK(got == id);
-    router_ids_.push_back(id);
+    entry_ids_.push_back(id);
   }
   for (uint32_t w = 0; w < config_.machines; ++w) {
     AggWorkerCore::Config wc;
     wc.index = w;
     wc.num_workers = config_.machines;
-    wc.num_routers = num_routers_;
+    wc.num_routers = num_routers;
     wc.partitions = config_.partitions;
-    wc.controller_task = task_base_;
+    wc.controller_task = task_base;
     wc.worker_task_base = worker_base;
     wc.value_col = config_.spec.value_col;
     wc.emit_every = config_.emit_every;
@@ -594,79 +555,31 @@ AggOperator::AggOperator(Engine& engine, AggConfig config)
     }
     const int got = engine_.AddTask(std::make_unique<AggWorkerCore>(wc));
     AJOIN_CHECK(got == id);
-    worker_ids_.push_back(id);
-  }
-  stager_ = std::make_unique<IngressStager>();
-}
-
-AggOperator::~AggOperator() = default;
-
-IngressPort& AggOperator::Port() {
-  if (!port_) port_ = engine_.OpenIngress(router_ids_[0]);
-  return *port_;
-}
-
-void AggOperator::Push(const StreamTuple& tuple) {
-  const int r = JoinOperator::ReshufflerFor(seq_, num_routers_);
-  stager_->StageInput(Port(), router_ids_[static_cast<size_t>(r)], tuple,
-                      seq_++, /*ingest_us=*/0);
-}
-
-void AggOperator::SetIngressBatch(uint32_t target) {
-  stager_->SetTarget(target, task_base_, num_routers_);
-}
-
-void AggOperator::FlushInput() {
-  if (!port_) return;
-  stager_->FlushStaged(*port_);
-  port_->Flush();
-}
-
-void AggOperator::SendEos() {
-  FlushInput();
-  for (int id : router_ids_) {
-    Envelope eos;
-    eos.type = MsgType::kEos;
-    Port().Post(id, std::move(eos));
-  }
-  Port().Flush();
-}
-
-void AggOperator::RouteResultsTo(const std::vector<int>& sinks) {
-  AJOIN_CHECK(!sinks.empty());
-  for (size_t i = 0; i < worker_ids_.size(); ++i) {
-    const int sink = sinks[i % sinks.size()];
-    AJOIN_CHECK(sink > worker_ids_[i]);  // exchange credit-order contract
-    auto* worker = static_cast<AggWorkerCore*>(engine_.task(worker_ids_[i]));
-    worker->set_result_sink(sink);
+    emitter_ids_.push_back(id);
   }
 }
 
-void AggOperator::AddResultFeeders(size_t upstream_slots) {
-  std::vector<uint32_t> feeders(num_routers_, 0);
-  for (size_t i = 0; i < upstream_slots; ++i) {
-    feeders[i % num_routers_] += 1;
-  }
-  for (uint32_t r = 0; r < num_routers_; ++r) {
-    if (feeders[r] == 0) continue;
-    auto* router = static_cast<AggRouterCore*>(engine_.task(router_ids_[r]));
-    router->AddEosFeeders(feeders[r]);
-  }
+void AggOperator::WireEmitter(size_t slot, int sink) {
+  static_cast<AggWorkerCore*>(engine_.task(emitter_ids_[slot]))
+      ->set_result_sink(sink);
+}
+
+void AggOperator::WireFeeders(size_t entry, uint32_t n) {
+  static_cast<AggRouterCore*>(engine_.task(entry_ids_[entry]))
+      ->AddEosFeeders(n);
 }
 
 const AggWorkerCore& AggOperator::worker(size_t i) const {
-  return *static_cast<const AggWorkerCore*>(
-      const_cast<Engine&>(engine_).task(worker_ids_[i]));
+  return *static_cast<const AggWorkerCore*>(engine_.task(emitter_ids_[i]));
 }
 
 const AggRouterCore& AggOperator::router(size_t i) const {
-  return *static_cast<const AggRouterCore*>(
-      const_cast<Engine&>(engine_).task(router_ids_[i]));
+  return *static_cast<const AggRouterCore*>(engine_.task(entry_ids_[i]));
 }
 
 std::vector<AggResult> AggOperator::Collect() const {
   std::map<int64_t, WeightedAccum> groups;
-  for (size_t w = 0; w < worker_ids_.size(); ++w) {
+  for (size_t w = 0; w < emitter_ids_.size(); ++w) {
     worker(w).table().ForEach([&](const AggTable::Cell& cell) {
       groups[cell.key].Absorb(cell.acc);
     });
@@ -679,7 +592,7 @@ std::vector<AggResult> AggOperator::Collect() const {
 
 uint64_t AggOperator::TotalMigrations() const {
   uint64_t total = 0;
-  for (size_t w = 0; w < worker_ids_.size(); ++w) {
+  for (size_t w = 0; w < emitter_ids_.size(); ++w) {
     total += worker(w).migrations_finalized();
   }
   return total;

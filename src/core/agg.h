@@ -2,8 +2,9 @@
 // operator family on the adaptive substrate. The stage reuses the engine's
 // reshuffler plane shape (router tasks spray keyed tuples to worker tasks),
 // an open-addressing accumulator table per worker (src/index/agg_table.h),
-// and the join migration protocol's epoch lockstep for adaptive
-// repartitioning under observed key skew.
+// the join's per-slot epoch protocol (src/core/epoch_protocol.h) for
+// adaptive repartitioning under observed key skew, and the OperatorShell
+// ingress/egress verbs (src/core/operator.h).
 //
 // Where the join operator partitions by a uniform tag over an (n,m) grid,
 // a keyed single-stream aggregate is partitioned *content-sensitively*:
@@ -23,9 +24,9 @@
 // partition can still be in flight to it), ships each outgoing partition's
 // cells as kMigrate envelopes, marks per-target kMigEnd, and merges
 // everything it receives — data, early µ, late µ — unconditionally into its
-// table. The universal kMigAck barrier (every worker acks every epoch)
-// keeps the controller's decisions serialized exactly like the join
-// controller's.
+// table. The shared EpochProtocol's universal kMigAck barrier (every worker
+// acks every epoch) keeps the controller's decisions serialized exactly
+// like the join controller's.
 //
 // Stream termination is a controller barrier: each router counts the EOS it
 // expects (driver + upstream cascade feeders, see AddResultFeeders), then
@@ -50,6 +51,8 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/core/epoch_protocol.h"
+#include "src/core/operator.h"
 #include "src/core/partition.h"
 #include "src/core/weighted.h"
 #include "src/datagen/workloads.h"
@@ -60,7 +63,6 @@
 
 namespace ajoin {
 
-class IngressStager;    // src/core/operator.h
 class MetricsRegistry;  // src/runtime/metrics_registry.h
 class TaskTelemetry;    // src/runtime/metrics_registry.h
 class TraceRing;        // src/common/trace_ring.h
@@ -220,9 +222,9 @@ class AggRouterCore : public Task {
 /// Worker task of the aggregation stage: owns the accumulator partitions
 /// its epoch's assignment maps here, merges routed tuples and migrated
 /// cells (commutatively, so no Δ/Δ' scoping is needed), ships outgoing
-/// partitions when the last epoch-change signal arrives, and emits final
-/// aggregates on the flush barrier.
-class AggWorkerCore : public Task {
+/// partitions when the last epoch-change signal arrives (its hooks into the
+/// shared EpochProtocol), and emits final aggregates on the flush barrier.
+class AggWorkerCore : public Task, private EpochProtocol::StateMover {
  public:
   struct Config {
     uint32_t index = 0;         // this worker's index in [0, num_workers)
@@ -255,9 +257,9 @@ class AggWorkerCore : public Task {
   /// The accumulator table (engine must be quiescent).
   const AggTable& table() const { return table_; }
   /// Assignment epoch this worker is in.
-  uint32_t epoch() const { return epoch_; }
+  uint32_t epoch() const { return protocol_.epoch(); }
   /// Mid-repartition right now?
-  bool migrating() const { return migrating_; }
+  bool migrating() const { return protocol_.migrating(); }
   /// Final aggregates emitted (the stage's flush barrier completed)?
   bool flushed() const { return flushed_; }
   /// Repartitions finalized by this worker.
@@ -273,12 +275,12 @@ class AggWorkerCore : public Task {
  private:
   void MergeTuple(const Envelope& msg, Context& ctx);
   void HandleMigrate(const Envelope& msg);
-  void HandleMigEnd(Context& ctx);
-  void HandleSignal(const Envelope& msg, Context& ctx);
-  /// Last signal arrived: ship outgoing partitions, mark MigEnds, arm the
-  /// ack barrier.
-  void ShipState(Context& ctx);
-  void MaybeFinalize(Context& ctx);
+  // EpochProtocol::StateMover hooks: begin records the target assignment
+  // and arms the marker count, the last signal ships outgoing partitions
+  // and marks each target with kMigEnd, finalize swaps the assignment.
+  uint32_t BeginMigration(const EpochSpec& spec, Context& ctx) override;
+  void OnLastSignal(Context& ctx) override;
+  void FinalizeMigration(Context& ctx) override;
   /// All R kFlush markers arrived: emit final aggregates + kEos downstream.
   void Finish(Context& ctx);
   /// Emit-and-reset the current table as additive kResult deltas.
@@ -288,14 +290,10 @@ class AggWorkerCore : public Task {
   void Publish();
 
   Config config_;
+  EpochProtocol protocol_;
   AggTable table_;
   std::vector<uint32_t> assign_;      // partition -> worker, current epoch
-  uint32_t epoch_ = 0;
-  bool migrating_ = false;
   std::vector<uint32_t> new_assign_;  // target assignment while migrating
-  uint32_t signals_seen_ = 0;
-  int migend_pending_ = 0;
-  int early_migend_ = 0;  // MigEnds that raced ahead of the last signal
   uint32_t flushes_seen_ = 0;
   bool flushed_ = false;
   TupleBatch egress_;
@@ -309,57 +307,29 @@ class AggWorkerCore : public Task {
 };
 
 /// Facade assembling the aggregation stage on an Engine: R router tasks
-/// followed by W worker tasks (ids ascend, so upstream egress and
-/// downstream sinks satisfy the exchange plane's id-ordered credit
-/// blocking). Drive it like a join operator: Push / FlushInput / SendEos,
-/// results stream to RouteResultsTo sinks or are collected quiescently via
-/// Collect().
-class AggOperator {
+/// (the shell's entry tasks) followed by W worker tasks (its emitters; ids
+/// ascend, so upstream egress and downstream sinks satisfy the exchange
+/// plane's id-ordered credit blocking). Drive it like a join operator
+/// through the OperatorShell verbs: Push / FlushInput / SendEos, results
+/// stream to RouteResultsTo sinks (final aggregates, then kEos) or are
+/// collected quiescently via Collect(). Raw input groups by the tuple key
+/// unless spec.key_col overrides, and aggregates bytes unless
+/// spec.value_col overrides.
+class AggOperator : public OperatorShell {
  public:
   AggOperator(Engine& engine, AggConfig config);
-  ~AggOperator();
-
-  /// Feeds one raw input tuple (key = group key unless spec.key_col
-  /// overrides; value = bytes unless spec.value_col overrides).
-  /// Single-producer, like the ingress port under it.
-  void Push(const StreamTuple& tuple);
-
-  /// Sets the ingress batch target (see JoinOperator::SetIngressBatch).
-  void SetIngressBatch(uint32_t target);
-
-  /// Ships every staged input batch and flushes the port.
-  void FlushInput();
-
-  /// Signals end-of-stream on every router's ingress edge (flushes staged
-  /// input first). With cascade feeders wired, the stage flushes once the
-  /// upstream EOS arrive too.
-  void SendEos();
-
-  /// Streaming egress: routes every worker's aggregates as kResult batches
-  /// (followed by kEos) to `sinks`, round-robin by worker. Sink ids must
-  /// be higher than this stage's task ids (Dataflow wires in creation
-  /// order). Call before the engine starts dispatching.
-  void RouteResultsTo(const std::vector<int>& sinks);
-
-  /// Wiring-time (Dataflow::Connect): an upstream stage with
-  /// `upstream_slots` joiner slots routes its egress to this stage's
-  /// routers round-robin; each joiner slot forwards one kEos when it
-  /// drains, and the matching router must wait for it before reporting
-  /// drained input. Mirrors the slot -> sinks[i % n] mapping of
-  /// RouteResultsTo.
-  void AddResultFeeders(size_t upstream_slots);
 
   /// Engine task ids of this stage's routers — the ingress targets an
   /// upstream stage wires its egress to.
-  const std::vector<int>& router_ids() const { return router_ids_; }
+  const std::vector<int>& router_ids() const { return entry_ids_; }
   /// Engine task ids of this stage's workers.
-  const std::vector<int>& worker_ids() const { return worker_ids_; }
+  const std::vector<int>& worker_ids() const { return emitter_ids_; }
   /// Routers assembled.
-  uint32_t num_routers() const { return num_routers_; }
+  uint32_t num_routers() const {
+    return static_cast<uint32_t>(entry_ids_.size());
+  }
   /// Workers assembled.
   uint32_t num_workers() const { return config_.machines; }
-  /// Tuples pushed so far.
-  uint64_t pushed_total() const { return seq_; }
 
   /// Worker core `i` (engine must be quiescent).
   const AggWorkerCore& worker(size_t i) const;
@@ -378,17 +348,10 @@ class AggOperator {
   const AggConfig& config() const { return config_; }
 
  private:
-  IngressPort& Port();
+  void WireEmitter(size_t slot, int sink) override;
+  void WireFeeders(size_t entry, uint32_t n) override;
 
-  Engine& engine_;
   AggConfig config_;
-  int task_base_ = 0;
-  uint32_t num_routers_ = 0;
-  std::vector<int> router_ids_;
-  std::vector<int> worker_ids_;
-  uint64_t seq_ = 0;
-  std::unique_ptr<IngressPort> port_;
-  std::unique_ptr<IngressStager> stager_;
 };
 
 }  // namespace ajoin

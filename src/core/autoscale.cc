@@ -8,7 +8,7 @@
 
 namespace ajoin {
 
-AutoscaleController::AutoscaleController(Operator& op,
+AutoscaleController::AutoscaleController(OperatorControl& op,
                                          const MetricsRegistry* registry,
                                          std::vector<int> joiner_tasks,
                                          AutoscaleConfig config,
@@ -23,7 +23,7 @@ AutoscaleController::AutoscaleController(Operator& op,
                   "autoscale: no joiner tasks to watch");
 }
 
-AutoscaleController::AutoscaleController(Operator& op,
+AutoscaleController::AutoscaleController(OperatorControl& op,
                                          const MetricsRegistry* registry,
                                          std::vector<int> joiner_tasks,
                                          AutoscaleConfig config)

@@ -13,8 +13,8 @@
 //  * AutoscaleController — a sampler-style thread that builds samples from
 //    MetricsRegistry snapshots (filtered to one operator's joiner tasks)
 //    plus an optional exchange-plane stall source, runs the policy, and
-//    calls Operator::GrowJoiners / ShrinkJoiners. It keeps a decision log
-//    for tests and telemetry.
+//    calls OperatorControl::GrowJoiners / ShrinkJoiners. It keeps a decision
+//    log for tests and telemetry.
 
 #pragma once
 
@@ -32,7 +32,7 @@
 
 namespace ajoin {
 
-class Operator;  // src/core/operator.h
+class OperatorControl;  // src/core/operator.h
 
 /// Policy knobs. Rates are per-second; ratios are fractions of wall time.
 struct AutoscaleConfig {
@@ -145,7 +145,7 @@ class AutoscalePolicy {
 };
 
 /// Background controller: samples the telemetry plane at a fixed period,
-/// runs AutoscalePolicy, and drives Operator::GrowJoiners/ShrinkJoiners.
+/// runs AutoscalePolicy, and drives OperatorControl::GrowJoiners/ShrinkJoiners.
 class AutoscaleController {
  public:
   struct Options {
@@ -164,11 +164,11 @@ class AutoscaleController {
   /// Watches `registry` cells whose task ids are in `joiner_tasks` (the
   /// operator's joiner_task_ids()) and scales `op`. Neither is owned; both
   /// must outlive the controller. Call Start() after the engine starts.
-  AutoscaleController(Operator& op, const MetricsRegistry* registry,
+  AutoscaleController(OperatorControl& op, const MetricsRegistry* registry,
                       std::vector<int> joiner_tasks, AutoscaleConfig config,
                       Options options);
   /// Same, with default Options (2 ms tick).
-  AutoscaleController(Operator& op, const MetricsRegistry* registry,
+  AutoscaleController(OperatorControl& op, const MetricsRegistry* registry,
                       std::vector<int> joiner_tasks, AutoscaleConfig config);
   ~AutoscaleController();
 
@@ -203,7 +203,7 @@ class AutoscaleController {
   void Loop();
   AutoscaleSample BuildSample(uint64_t t_us);
 
-  Operator& op_;
+  OperatorControl& op_;
   const MetricsRegistry* registry_;
   std::unordered_set<int> joiner_tasks_;
   AutoscalePolicy policy_;

@@ -13,6 +13,9 @@ namespace ajoin {
 JoinerCore::JoinerCore(JoinerConfig config)
     : config_(std::move(config)),
       layout_(config_.initial_layout),
+      protocol_({config_.num_reshufflers, config_.controller_task,
+                 config_.group, config_.group, config_.trace},
+                this),
       index_{JoinIndex(JoinIndex::KindFor(config_.spec.kind)),
              JoinIndex(JoinIndex::KindFor(config_.spec.kind))} {
   // Deterministic per-slot shed sampler: the same slot always draws the
@@ -24,7 +27,7 @@ JoinerCore::JoinerCore(JoinerConfig config)
   // correct participation flag for slots that have not received a message
   // yet (dormant expansion slots in particular).
   if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch_, migrating_,
+    config_.telemetry->PublishJoiner(metrics_, epoch(), migrating(),
                                      participating(), shed_rate_ppm_);
   }
 }
@@ -38,13 +41,17 @@ void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
       HandleMigrate(msg, ctx);
       break;
     case MsgType::kMigEnd:
-      HandleMigEnd(msg, ctx);
+      protocol_.OnMigEnd(ctx);
+      MaybeForwardEos(ctx);
       break;
     case MsgType::kReshufSignal:
-      HandleSignal(msg, ctx);
+      AJOIN_CHECK(msg.espec->group == config_.group);
+      protocol_.OnSignal(*msg.espec, ctx);
+      MaybeForwardEos(ctx);
       break;
     case MsgType::kEos:
-      HandleEos(msg, ctx);
+      ++eos_seen_;
+      MaybeForwardEos(ctx);
       break;
     case MsgType::kShed:
       HandleShed(msg, ctx);
@@ -57,7 +64,7 @@ void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
   // Publish live telemetry once per dispatch: counters stay plain stores
   // above; the cell write is the only synchronized step.
   if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch_, migrating_,
+    config_.telemetry->PublishJoiner(metrics_, epoch(), migrating(),
                                      participating(), shed_rate_ppm_);
   }
 }
@@ -67,8 +74,8 @@ void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
   // steady-state data batch: control singletons, µ (kMigrate) batches, and
   // any batch that arrives while a migration is active. A migration cannot
   // start mid-batch — kReshufSignal is control and therefore always a
-  // singleton batch — so checking migrating_ once up front is sound.
-  if (migrating_ || batch.empty()) {
+  // singleton batch — so checking migrating() once up front is sound.
+  if (migrating() || batch.empty()) {
     Task::OnBatch(std::move(batch), ctx);
     return;
   }
@@ -85,7 +92,7 @@ void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
   // store tuple (probe-only tuples are not epoch-checked on the
   // per-envelope path either).
   if (first_store != nullptr) {
-    AJOIN_CHECK_MSG(first_store->epoch == epoch_,
+    AJOIN_CHECK_MSG(first_store->epoch == epoch(),
                     "new-epoch tuple before its reshuffler signal");
   }
   const size_t n = batch.items.size();
@@ -116,7 +123,7 @@ void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
     // Then the run's inserts, grouped so the index stays hot in cache.
     for (size_t k = i; k < j; ++k) {
       const Envelope& msg = batch.items[k];
-      if (msg.store) Store(msg, kOriginData, epoch_);
+      if (msg.store) Store(msg, kOriginData, epoch());
     }
     i = j;
   }
@@ -127,7 +134,7 @@ void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
   // One telemetry publish per batch (the fallback paths above publish per
   // envelope through OnMessage).
   if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch_, migrating_,
+    config_.telemetry->PublishJoiner(metrics_, epoch(), migrating(),
                                      participating(), shed_rate_ppm_);
   }
 }
@@ -145,11 +152,11 @@ bool JoinerCore::EntryInScope(const StoredEntry& entry, Rel entry_rel,
       // produced at the machines owning them under the old mapping.
       return entry.origin == kOriginData;
     case Scope::kOldData:
-      return entry.origin == kOriginData && entry.epoch <= old_epoch_;
+      return entry.origin == kOriginData && entry.epoch <= epoch();
     case Scope::kNewOwned:
       return plan_->Keeps(config_.machine_index, entry_rel, entry.tag);
     case Scope::kDeltaPrime:
-      return entry.epoch == new_epoch_ && entry.origin == kOriginData;
+      return entry.epoch == epoch() + 1 && entry.origin == kOriginData;
   }
   return false;
 }
@@ -320,7 +327,7 @@ void JoinerCore::HandleData(Envelope& msg, Context& ctx) {
   if (!msg.store) {
     // Cross-group probe. Grouped operators run with barrier migrations, so
     // probes never overlap an active migration (DESIGN.md section 5).
-    AJOIN_CHECK_MSG(!migrating_, "probe during migration (barrier violated)");
+    AJOIN_CHECK_MSG(!migrating(), "probe during migration (barrier violated)");
     if (AdmitProbe()) {
       emit_weight_ = shed_weight_;
       Probe(msg, Scope::kAll, ctx);
@@ -331,8 +338,8 @@ void JoinerCore::HandleData(Envelope& msg, Context& ctx) {
   metrics_.in_tuples++;
   metrics_.in_bytes += msg.bytes;
 
-  if (!migrating_) {
-    AJOIN_CHECK_MSG(msg.epoch == epoch_,
+  if (!migrating()) {
+    AJOIN_CHECK_MSG(msg.epoch == epoch(),
                     "new-epoch tuple before its reshuffler signal");
     // Shedding gates the probe only: the tuple is still stored exactly, so
     // join state (and any future migration of it) is unaffected. Each join
@@ -348,17 +355,17 @@ void JoinerCore::HandleData(Envelope& msg, Context& ctx) {
     return;
   }
 
-  if (msg.epoch == old_epoch_) {
+  if (msg.epoch == epoch()) {
     // Δ tuple (Alg. 3, HandleTuple1 lines 15-20).
     Probe(msg, Scope::kOldData, ctx);
     bool keep = plan_->Keeps(config_.machine_index, msg.rel, msg.tag);
     if (keep) Probe(msg, Scope::kDeltaPrime, ctx);
-    Store(msg, kOriginData, old_epoch_);
+    Store(msg, kOriginData, epoch());
     ForwardPerDirectives(msg, ctx);
-  } else if (msg.epoch == new_epoch_) {
+  } else if (msg.epoch == epoch() + 1) {
     // Δ' tuple (lines 12-14 / 24-26).
     Probe(msg, Scope::kNewOwned, ctx);
-    Store(msg, kOriginData, new_epoch_);
+    Store(msg, kOriginData, epoch() + 1);
   } else {
     AJOIN_CHECK_MSG(false, "tuple more than one epoch away");
   }
@@ -368,8 +375,8 @@ void JoinerCore::HandleMigrate(Envelope& msg, Context& ctx) {
   metrics_.mig_in_tuples++;
   metrics_.mig_in_bytes += msg.bytes;
   // µ tuple: join with Δ' only (lines 10-11 / 22-23). Δ' entries carry the
-  // pending epoch (epoch_ + 1 when the migration has not locally started).
-  uint32_t pending = migrating_ ? new_epoch_ : epoch_ + 1;
+  // pending epoch E+1, whether or not the migration has locally started.
+  const uint32_t pending = epoch() + 1;
   const Rel opp = Opposite(msg.rel);
   const auto opp_i = static_cast<size_t>(opp);
   int64_t lo = 0, hi = 0;
@@ -392,80 +399,41 @@ void JoinerCore::HandleMigrate(Envelope& msg, Context& ctx) {
   Store(msg, kOriginMig, msg.epoch);
 }
 
-void JoinerCore::HandleMigEnd(Envelope& msg, Context& ctx) {
-  if (plan_ == nullptr) {
-    ++early_migend_;
-    return;
-  }
-  --migend_pending_;
-  MaybeFinalize(ctx);
-}
-
 // ---------------------------------------------------------------------------
-// Migration control
+// Migration: EpochProtocol::StateMover hooks
 // ---------------------------------------------------------------------------
 
-void JoinerCore::HandleSignal(Envelope& msg, Context& ctx) {
-  const EpochSpec& spec = *msg.espec;
-  AJOIN_CHECK(spec.group == config_.group);
-  if (signals_seen_ == 0) {
-    StartMigration(spec, ctx);
-  } else {
-    AJOIN_CHECK_MSG(spec.epoch == new_epoch_, "signal for wrong epoch");
-  }
-  ++signals_seen_;
-  AJOIN_CHECK(signals_seen_ <= config_.num_reshufflers);
-  if (signals_seen_ == config_.num_reshufflers &&
-      config_.machine_index < plan_->NumMachines()) {
-    // No further Δ can arrive (FIFO per reshuffler channel): flush MigEnd
-    // markers to every migration target. (Machines without directives —
-    // expansion children, pure-discard peers — have no targets.)
-    for (uint32_t target : plan_->TargetsOf(config_.machine_index)) {
-      Envelope end;
-      end.type = MsgType::kMigEnd;
-      end.group = config_.group;
-      ctx.Send(config_.joiner_task_base + static_cast<int>(target),
-               std::move(end));
-    }
-  }
-  MaybeFinalize(ctx);
-}
-
-void JoinerCore::StartMigration(const EpochSpec& spec, Context& ctx) {
-  AJOIN_CHECK_MSG(!migrating_, "overlapping migrations");
-  AJOIN_CHECK_MSG(spec.epoch == epoch_ + 1, "non-consecutive epoch");
-  migrating_ = true;
-  old_epoch_ = epoch_;
-  new_epoch_ = spec.epoch;
-  if (config_.trace != nullptr) {
-    config_.trace->Record(TraceEventKind::kMigrationBegin, ctx.self(),
-                          ctx.NowMicros(), new_epoch_, config_.group);
-  }
+uint32_t JoinerCore::BeginMigration(const EpochSpec& spec, Context& ctx) {
   to_layout_ = spec.expansion     ? layout_.Expand()
                : spec.contraction ? layout_.Contract(spec.mapping)
                                   : layout_.Relabel(spec.mapping);
   AJOIN_CHECK(to_layout_.mapping() == spec.mapping);
   plan_ = std::make_unique<MigrationPlan>(layout_, to_layout_, spec.expansion);
-  // Participation is defined by the *target* layout: expansion children are
-  // not in the old grid but receive state and wait for their senders'
-  // MigEnds; machines beyond the target grid (dormant slots, and survivors'
-  // retiring peers under a contraction) wait for signals only — a retiring
-  // machine still executes its send directives and MigEnd markers, then
-  // finalizes by dropping everything. All slots ack, keeping the whole
-  // allocation in epoch lockstep behind the controller's barrier.
-  if (config_.machine_index < to_layout_.J()) {
-    migend_pending_ = static_cast<int64_t>(
-                          plan_->ExpectedSenders(config_.machine_index).size()) -
-                      early_migend_;
-    early_migend_ = 0;
-  } else {
-    migend_pending_ = 0;
-  }
   // "Send tau for migration" (line 3). Every machine of the *old* grid with
   // directives sends — under a contraction that includes the retirees, whose
   // entire state moves to the survivors. (The function is a no-op for
   // machines outside the from grid.)
   SendOldStateForMigration(ctx);
+  // Participation is defined by the *target* layout: expansion children are
+  // not in the old grid but receive state and wait for their senders'
+  // MigEnds; machines beyond the target grid (dormant slots, and survivors'
+  // retiring peers under a contraction) wait for signals only — a retiring
+  // machine still executes its send directives and MigEnd markers, then
+  // finalizes by dropping everything.
+  if (config_.machine_index >= to_layout_.J()) return 0;
+  return static_cast<uint32_t>(
+      plan_->ExpectedSenders(config_.machine_index).size());
+}
+
+void JoinerCore::OnLastSignal(Context& ctx) {
+  // No further Δ can arrive (FIFO per reshuffler channel): flush MigEnd
+  // markers to every migration target. (Machines without directives —
+  // expansion children, pure-discard peers — have no targets.)
+  if (config_.machine_index >= plan_->NumMachines()) return;
+  for (uint32_t target : plan_->TargetsOf(config_.machine_index)) {
+    protocol_.SendMigEnd(config_.joiner_task_base + static_cast<int>(target),
+                         ctx);
+  }
 }
 
 void JoinerCore::SendOldStateForMigration(Context& ctx) {
@@ -488,7 +456,7 @@ void JoinerCore::SendOldStateForMigration(Context& ctx) {
         mig.tag = entry.tag;
         mig.seq = entry.seq;
         mig.bytes = entry.bytes;
-        mig.epoch = old_epoch_;
+        mig.epoch = epoch();
         mig.group = config_.group;
         if (entry.has_row) {
           mig.has_row = true;
@@ -521,18 +489,11 @@ void JoinerCore::SendMigrateTuple(const Envelope& src, uint32_t target_machine,
                                   Context& ctx) {
   Envelope mig = src;
   mig.type = MsgType::kMigrate;
-  mig.epoch = old_epoch_;
+  mig.epoch = epoch();
   metrics_.mig_out_tuples++;
   metrics_.mig_out_bytes += src.bytes;
   ctx.Send(config_.joiner_task_base + static_cast<int>(target_machine),
            std::move(mig));
-}
-
-void JoinerCore::MaybeFinalize(Context& ctx) {
-  if (!migrating_) return;
-  if (signals_seen_ < config_.num_reshufflers) return;
-  if (config_.machine_index < to_layout_.J() && migend_pending_ > 0) return;
-  FinalizeMigration(ctx);
 }
 
 void JoinerCore::FinalizeMigration(Context& ctx) {
@@ -569,42 +530,18 @@ void JoinerCore::FinalizeMigration(Context& ctx) {
   }
   const bool was_participating = participating();
   layout_ = to_layout_;
-  epoch_ = new_epoch_;
-  migrating_ = false;
-  signals_seen_ = 0;
   plan_.reset();
-  migend_pending_ = 0;
   metrics_.migrations_finalized++;
-  if (config_.trace != nullptr) {
-    config_.trace->Record(TraceEventKind::kMigrationFinalize, ctx.self(),
-                          ctx.NowMicros(), epoch_, config_.group);
-    // Slot lifecycle events: this joiner joined (expansion child) or left
-    // (contraction retiree) the active grid at this epoch boundary.
-    if (participating() != was_participating) {
-      config_.trace->Record(participating() ? TraceEventKind::kScaleGrow
-                                            : TraceEventKind::kScaleShrink,
-                            ctx.self(), ctx.NowMicros(), epoch_,
-                            config_.machine_index);
-    }
+  // Slot lifecycle events: this joiner joined (expansion child) or left
+  // (contraction retiree) the active grid at this epoch boundary. (The
+  // protocol then acks from every slot — dormant trackers and retirees
+  // included — see ControllerCore::DecideGroup.)
+  if (config_.trace != nullptr && participating() != was_participating) {
+    config_.trace->Record(participating() ? TraceEventKind::kScaleGrow
+                                          : TraceEventKind::kScaleShrink,
+                          ctx.self(), ctx.NowMicros(), epoch() + 1,
+                          config_.machine_index);
   }
-  // Every slot acks — dormant trackers and contraction retirees included —
-  // so the controller's barrier keeps the whole allocation in epoch
-  // lockstep (see ControllerCore::DecideGroup).
-  Envelope ack;
-  ack.type = MsgType::kMigAck;
-  ack.group = config_.group;
-  EpochSpec& done = ack.espec.emplace();
-  done.group = config_.group;
-  done.epoch = epoch_;
-  ctx.Send(config_.controller_task, std::move(ack));
-  // A migration that was in flight when the last EOS arrived deferred the
-  // downstream EOS forward to this point.
-  MaybeForwardEos(ctx);
-}
-
-void JoinerCore::HandleEos(Envelope& msg, Context& ctx) {
-  ++eos_seen_;
-  MaybeForwardEos(ctx);
 }
 
 void JoinerCore::MaybeForwardEos(Context& ctx) {
@@ -615,7 +552,7 @@ void JoinerCore::MaybeForwardEos(Context& ctx) {
   // migration has an empty Δ' everywhere (a reshuffler that switched before
   // its EOS would have delivered its signal first on the same FIFO edge),
   // so it can emit no results. A migration in flight right now defers the
-  // forward to FinalizeMigration.
+  // forward to the signal or marker that finalizes it.
   if (eos_forwarded_ || config_.result_sink < 0 || !finished()) return;
   eos_forwarded_ = true;
   if (!egress_.empty()) FlushEgress(ctx);
@@ -695,12 +632,12 @@ bool GetRaw(const std::vector<uint8_t>& buf, size_t* offset, T* v) {
 }  // namespace
 
 Status JoinerCore::SnapshotState(std::vector<uint8_t>* out) const {
-  if (migrating_) {
+  if (migrating()) {
     return Status::FailedPrecondition("cannot snapshot during a migration");
   }
   PutRaw(kSnapshotMagic, out);
   PutRaw(kSnapshotVersion, out);
-  PutRaw(epoch_, out);
+  PutRaw(epoch(), out);
   for (int rel_i = 0; rel_i < 2; ++rel_i) {
     const auto& entries = entries_[static_cast<size_t>(rel_i)];
     PutRaw<uint64_t>(entries.size(), out);
@@ -718,7 +655,7 @@ Status JoinerCore::SnapshotState(std::vector<uint8_t>* out) const {
 }
 
 Status JoinerCore::RestoreState(const std::vector<uint8_t>& buf) {
-  if (migrating_) {
+  if (migrating()) {
     return Status::FailedPrecondition("cannot restore during a migration");
   }
   size_t offset = 0;
@@ -787,7 +724,7 @@ Status JoinerCore::RestoreState(const std::vector<uint8_t>& buf) {
       metrics_.NoteStored(entries[id].bytes);
     }
   }
-  epoch_ = 0;
+  protocol_.Restart();
   return Status::OK();
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/core/epoch_protocol.h"
 #include "src/core/migration.h"
 #include "src/core/partition.h"
 #include "src/localjoin/join_index.h"
@@ -59,7 +60,9 @@ struct JoinerConfig {
   TraceRing* trace = nullptr;
 };
 
-class JoinerCore : public Task {
+/// The joiner slot: the Alg. 3 state movement (Δ/Δ'/µ scoping, the
+/// MigrationPlan, the state rebuild) plugged into the shared EpochProtocol.
+class JoinerCore : public Task, private EpochProtocol::StateMover {
  public:
   explicit JoinerCore(JoinerConfig config);
 
@@ -93,8 +96,8 @@ class JoinerCore : public Task {
   const std::vector<std::pair<uint64_t, uint64_t>>& pairs() const {
     return pairs_;
   }
-  uint32_t epoch() const { return epoch_; }
-  bool migrating() const { return migrating_; }
+  uint32_t epoch() const { return protocol_.epoch(); }
+  bool migrating() const { return protocol_.migrating(); }
   /// Current probe admission rate in parts-per-million (kShedExactPpm =
   /// exact probing, i.e. shedding off).
   uint32_t shed_rate_ppm() const { return shed_rate_ppm_; }
@@ -106,7 +109,7 @@ class JoinerCore : public Task {
   }
   /// True once Eos arrived from every reshuffler and no migration is active.
   bool finished() const {
-    return eos_seen_ >= config_.num_reshufflers && !migrating_;
+    return eos_seen_ >= config_.num_reshufflers && !migrating();
   }
 
   /// Scheduling hint (see Task::dormant): a slot outside the live grid is
@@ -114,7 +117,7 @@ class JoinerCore : public Task {
   /// expansion target receiving state, or a contraction retiree that still
   /// has directives to execute. Both flags are written only by this task's
   /// own dispatches, as the contract requires.
-  bool dormant() const override { return !participating() && !migrating_; }
+  bool dormant() const override { return !participating() && !migrating(); }
 
   /// Serializes the consolidated join state (both relations + epoch) for
   /// checkpointing (paper section 4.3.3: the consumer side of the FTOpt
@@ -153,9 +156,6 @@ class JoinerCore : public Task {
 
   void HandleData(Envelope& msg, Context& ctx);
   void HandleMigrate(Envelope& msg, Context& ctx);
-  void HandleMigEnd(Envelope& msg, Context& ctx);
-  void HandleSignal(Envelope& msg, Context& ctx);
-  void HandleEos(Envelope& msg, Context& ctx);
   /// Forwards one kEos to the result sink once this slot is finished, so a
   /// downstream stage's expected-EOS gate can detect upstream drainage.
   void MaybeForwardEos(Context& ctx);
@@ -164,11 +164,12 @@ class JoinerCore : public Task {
   // a skipped probe bumps metrics_.shed_probes_skipped.
   bool AdmitProbe();
 
-  void StartMigration(const EpochSpec& spec, Context& ctx);
+  // EpochProtocol::StateMover hooks.
+  uint32_t BeginMigration(const EpochSpec& spec, Context& ctx) override;
+  void OnLastSignal(Context& ctx) override;
+  void FinalizeMigration(Context& ctx) override;
   void SendOldStateForMigration(Context& ctx);
   void ForwardPerDirectives(const Envelope& msg, Context& ctx);
-  void MaybeFinalize(Context& ctx);
-  void FinalizeMigration(Context& ctx);
 
   bool EntryInScope(const StoredEntry& entry, Rel entry_rel, Scope scope) const;
   void Probe(const Envelope& msg, Scope scope, Context& ctx);
@@ -197,22 +198,15 @@ class JoinerCore : public Task {
 
   JoinerConfig config_;
   GridLayout layout_;
-  uint32_t epoch_ = 0;
+  EpochProtocol protocol_;
 
   // State: entries + index per relation (index ids are entry positions).
   std::vector<StoredEntry> entries_[2];
   JoinIndex index_[2];
 
-  // Migration state.
-  bool migrating_ = false;
-  uint32_t old_epoch_ = 0;
-  uint32_t new_epoch_ = 0;
-  uint32_t signals_seen_ = 0;
+  // Migration state (epoch E -> E+1 while protocol_.migrating()).
   std::unique_ptr<MigrationPlan> plan_;
   GridLayout to_layout_;
-  int64_t migend_pending_ = 0;   // expected MigEnd minus received (may dip <0
-                                 // transiently via early arrivals)
-  uint32_t early_migend_ = 0;    // MigEnds received before the plan existed
 
   // Load shedding (overload survival): only steady-state probes are gated —
   // stores and every migration-scoped probe (Δ/Δ'/µ) stay exact, so Alg. 3

@@ -8,27 +8,6 @@
 
 namespace ajoin {
 
-namespace {
-
-/// Shared egress wiring for both facades: points joiner `i` at
-/// `sinks[i % sinks.size()]`, enforcing the exchange plane's id-ordering
-/// contract (a result edge must point at a higher task id, or the
-/// credit-blocking wait-for graph could cycle).
-void RouteJoinerResults(Engine& engine, const std::vector<int>& joiner_ids,
-                        const std::vector<int>& sinks) {
-  AJOIN_CHECK_MSG(!sinks.empty(), "RouteResultsTo: no sinks");
-  for (size_t i = 0; i < joiner_ids.size(); ++i) {
-    const int sink = sinks[i % sinks.size()];
-    AJOIN_CHECK_MSG(sink > joiner_ids[i],
-                    "result sink must be a higher task id (deadlock-freedom "
-                    "ordering)");
-    static_cast<JoinerCore*>(engine.task(joiner_ids[i]))
-        ->set_result_sink(sink);
-  }
-}
-
-}  // namespace
-
 void IngressStager::StageInput(IngressPort& port, int dest,
                                const StreamTuple& tuple, uint64_t seq,
                                uint64_t ingest_us) {
@@ -61,17 +40,161 @@ void IngressStager::StageInput(IngressPort& port, int dest,
   }
 }
 
+// ---------------------------------------------------------------------------
+// OperatorShell
+// ---------------------------------------------------------------------------
+
+OperatorShell::~OperatorShell() = default;
+
+IngressPort& OperatorShell::Port() {
+  if (port_ == nullptr) port_ = engine_.OpenIngress(entry_ids_[0]);
+  return *port_;
+}
+
+int OperatorShell::ReshufflerFor(uint64_t seq, uint32_t num_reshufflers) {
+  return static_cast<int>(SplitMix64(seq ^ 0xc2b2ae3d27d4eb4fULL) %
+                          num_reshufflers);
+}
+
+void OperatorShell::Push(const StreamTuple& tuple) {
+  const uint64_t seq = seq_++;
+  const int r =
+      ReshufflerFor(seq, static_cast<uint32_t>(entry_ids_.size()));
+  stager_.StageInput(Port(), entry_ids_[static_cast<size_t>(r)], tuple, seq,
+                     engine_.NowMicros());
+}
+
+void OperatorShell::SetIngressBatch(uint32_t target) {
+  FlushInput();  // staged under the old target must not be stranded
+  stager_.SetTarget(target, entry_ids_.front(), entry_ids_.size());
+}
+
+void OperatorShell::FlushInput() {
+  if (port_ == nullptr) return;  // nothing ever pushed
+  stager_.FlushStaged(*port_);
+  port_->Flush();
+}
+
+void OperatorShell::SendEos() {
+  FlushInput();
+  for (int id : entry_ids_) {
+    Envelope env;
+    env.type = MsgType::kEos;
+    Port().Post(id, std::move(env));
+  }
+}
+
+void OperatorShell::RouteResultsTo(const std::vector<int>& sinks) {
+  AJOIN_CHECK_MSG(!sinks.empty(), "RouteResultsTo: no sinks");
+  for (size_t i = 0; i < emitter_ids_.size(); ++i) {
+    const int sink = sinks[i % sinks.size()];
+    // A result edge must point at a higher task id, or the exchange plane's
+    // credit-blocking wait-for graph could cycle.
+    AJOIN_CHECK_MSG(sink > emitter_ids_[i],
+                    "result sink must be a higher task id (deadlock-freedom "
+                    "ordering)");
+    WireEmitter(i, sink);
+  }
+}
+
+void OperatorShell::AddResultFeeders(size_t upstream_slots) {
+  // Mirror RouteResultsTo's round-robin: upstream emitter slot i streams its
+  // egress (and thus its kEos) to sink i % num_sinks, i.e. entry task i % R
+  // when this operator's entry_ids() are the sinks.
+  const size_t n = entry_ids_.size();
+  std::vector<uint32_t> feeders(n, 0);
+  for (size_t i = 0; i < upstream_slots; ++i) ++feeders[i % n];
+  for (size_t r = 0; r < n; ++r) {
+    if (feeders[r] != 0) WireFeeders(r, feeders[r]);
+  }
+}
+
+void OperatorShell::WireFeeders(size_t entry, uint32_t n) {
+  (void)entry;
+  (void)n;
+  AJOIN_CHECK_MSG(false, "operator accepts no upstream results");
+}
+
+// ---------------------------------------------------------------------------
+// Operator: the join facades' common base
+// ---------------------------------------------------------------------------
+
+JoinerConfig Operator::MakeJoinerConfig(uint32_t group,
+                                        uint32_t machine_index,
+                                        int joiner_task_base) const {
+  JoinerConfig jc;
+  jc.spec = config_.spec;
+  jc.group = group;
+  jc.machine_index = machine_index;
+  jc.joiner_task_base = joiner_task_base;
+  jc.collect_pairs = config_.collect_pairs;
+  jc.keep_rows = config_.keep_rows;
+  jc.latency_every = config_.latency_every;
+  jc.trace = config_.trace;
+  if (config_.registry != nullptr) {
+    jc.telemetry = config_.registry->Register(
+        joiner_task_base + static_cast<int>(machine_index), TaskKind::kJoiner);
+  }
+  return jc;
+}
+
+void Operator::WireEmitter(size_t slot, int sink) {
+  static_cast<JoinerCore*>(engine_.task(emitter_ids_[slot]))
+      ->set_result_sink(sink);
+}
+
+const JoinerCore& Operator::joiner(size_t i) const {
+  return *static_cast<const JoinerCore*>(engine_.task(emitter_ids_[i]));
+}
+
+uint64_t Operator::TotalOutputs() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < emitter_ids_.size(); ++i) {
+    total += joiner(i).output_count();
+  }
+  return total;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> Operator::CollectPairs() const {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (size_t i = 0; i < emitter_ids_.size(); ++i) {
+    const auto& pairs = joiner(i).pairs();
+    out.insert(out.end(), pairs.begin(), pairs.end());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+uint64_t Operator::MaxInBytes() const {
+  uint64_t mx = 0;
+  for (size_t i = 0; i < emitter_ids_.size(); ++i) {
+    mx = std::max(mx, joiner(i).metrics().in_bytes);
+  }
+  return mx;
+}
+
+uint64_t Operator::TotalStoredBytes() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < emitter_ids_.size(); ++i) {
+    total += joiner(i).metrics().stored_bytes;
+  }
+  return total;
+}
+
+// ---------------------------------------------------------------------------
+// JoinOperator
+// ---------------------------------------------------------------------------
+
 JoinOperator::JoinOperator(Engine& engine, OperatorConfig config)
-    : engine_(engine),
-      config_(std::move(config)),
-      task_base_(static_cast<int>(engine.num_tasks())) {
+    : Operator(engine, std::move(config)) {
+  const int task_base = static_cast<int>(engine_.num_tasks());
   std::vector<uint64_t> group_sizes = BinaryDecompose(config_.machines);
   group_count_ = static_cast<uint32_t>(group_sizes.size());
   AJOIN_CHECK_MSG(group_count_ == 1 || config_.barrier_migrations,
                   "multi-group operators require barrier migrations");
   AJOIN_CHECK_MSG(group_count_ == 1 || config_.max_expansions == 0,
                   "elasticity requires a single power-of-two group");
-  num_reshufflers_ = config_.machines;
+  const uint32_t num_reshufflers = config_.machines;
 
   // Build per-group blocks. Joiner ids are assigned after reshufflers, all
   // relative to this operator's task base (so stacked operators — Dataflow
@@ -79,7 +202,7 @@ JoinOperator::JoinOperator(Engine& engine, OperatorConfig config)
   std::vector<GroupBlock> blocks;
   std::vector<ControllerCore::GroupInfo> cinfos;
   double cum = 0.0;
-  int next_base = task_base_ + static_cast<int>(num_reshufflers_);
+  int next_base = task_base + static_cast<int>(num_reshufflers);
   for (uint64_t jg : group_sizes) {
     GroupBlock block;
     block.joiner_task_base = next_base;
@@ -109,13 +232,13 @@ JoinOperator::JoinOperator(Engine& engine, OperatorConfig config)
   ctrl.max_tuples_per_joiner = config_.max_tuples_per_joiner;
   ctrl.max_expansions = config_.max_expansions;
 
-  for (uint32_t r = 0; r < num_reshufflers_; ++r) {
+  for (uint32_t r = 0; r < num_reshufflers; ++r) {
     ReshufflerConfig rc;
     rc.index = r;
-    rc.num_reshufflers = num_reshufflers_;
+    rc.num_reshufflers = num_reshufflers;
     rc.groups = blocks;
-    rc.controller_task = task_base_;
-    rc.reshuffler_task_base = task_base_;
+    rc.controller_task = task_base;
+    rc.reshuffler_task_base = task_base;
     rc.is_controller = (r == 0);
     rc.controller = ctrl;
     rc.controller_groups = cinfos;
@@ -124,62 +247,34 @@ JoinOperator::JoinOperator(Engine& engine, OperatorConfig config)
     rc.trace = config_.trace;
     if (config_.registry != nullptr) {
       rc.telemetry = config_.registry->Register(
-          task_base_ + static_cast<int>(r), TaskKind::kReshuffler);
+          task_base + static_cast<int>(r), TaskKind::kReshuffler);
     }
     int id = engine_.AddTask(std::make_unique<ReshufflerCore>(std::move(rc)));
-    AJOIN_CHECK(id == task_base_ + static_cast<int>(r));
-    reshuffler_ids_.push_back(id);
+    AJOIN_CHECK(id == task_base + static_cast<int>(r));
+    entry_ids_.push_back(id);
   }
   for (uint32_t g = 0; g < group_count_; ++g) {
     const GroupBlock& block = blocks[g];
     for (uint32_t p = 0; p < block.alloc_machines; ++p) {
-      JoinerConfig jc;
-      jc.spec = config_.spec;
-      jc.group = g;
-      jc.machine_index = p;
+      JoinerConfig jc = MakeJoinerConfig(g, p, block.joiner_task_base);
       jc.initial_layout = block.initial_layout;
-      jc.num_reshufflers = num_reshufflers_;
-      jc.controller_task = task_base_;
-      jc.joiner_task_base = block.joiner_task_base;
-      jc.collect_pairs = config_.collect_pairs;
-      jc.keep_rows = config_.keep_rows;
-      jc.latency_every = config_.latency_every;
-      jc.trace = config_.trace;
-      if (config_.registry != nullptr) {
-        jc.telemetry = config_.registry->Register(
-            block.joiner_task_base + static_cast<int>(p), TaskKind::kJoiner);
-      }
+      jc.num_reshufflers = num_reshufflers;
+      jc.controller_task = task_base;
       int id = engine_.AddTask(std::make_unique<JoinerCore>(std::move(jc)));
       AJOIN_CHECK(id == block.joiner_task_base + static_cast<int>(p));
-      joiner_ids_.push_back(id);
+      emitter_ids_.push_back(id);
     }
   }
 }
 
-IngressPort& JoinOperator::Port() {
-  if (port_ == nullptr) port_ = engine_.OpenIngress(reshuffler_ids_[0]);
-  return *port_;
-}
-
-int JoinOperator::ReshufflerFor(uint64_t seq, uint32_t num_reshufflers) {
-  return static_cast<int>(SplitMix64(seq ^ 0xc2b2ae3d27d4eb4fULL) %
-                          num_reshufflers);
-}
-
-void JoinOperator::SetIngressBatch(uint32_t target) {
-  FlushInput();  // staged under the old target must not be stranded
-  stager_.SetTarget(target, task_base_, num_reshufflers_);
-}
-
-void JoinOperator::Push(const StreamTuple& tuple) {
-  const uint64_t seq = seq_++;
-  const int r = ReshufflerFor(seq, num_reshufflers_);
-  stager_.StageInput(Port(), reshuffler_ids_[static_cast<size_t>(r)], tuple,
-                     seq, engine_.NowMicros());
-}
-
-void JoinOperator::RouteResultsTo(const std::vector<int>& sinks) {
-  RouteJoinerResults(engine_, joiner_ids_, sinks);
+bool JoinOperator::PostControl(Envelope env) {
+  std::lock_guard<std::mutex> lock(scale_mu_);
+  if (scale_port_ == nullptr) {
+    scale_port_ = engine_.OpenIngress(entry_ids_[0]);
+  }
+  // Versions are stamped under the lock, so they ascend in post order.
+  if (env.type == MsgType::kShed) env.seq = ++shed_version_;
+  return scale_port_->Post(entry_ids_[0], std::move(env));
 }
 
 bool JoinOperator::PostScale(int64_t steps) {
@@ -187,132 +282,58 @@ bool JoinOperator::PostScale(int64_t steps) {
   // Elastic scaling needs a single power-of-two group (the controller
   // relabels/folds one grid) and allocated slot headroom to grow into.
   if (group_count_ != 1 || config_.max_expansions == 0) return false;
-  std::lock_guard<std::mutex> lock(scale_mu_);
-  if (scale_port_ == nullptr) {
-    scale_port_ = engine_.OpenIngress(reshuffler_ids_[0]);
-  }
   Envelope env;
   env.type = MsgType::kScale;
   env.key = steps;
-  return scale_port_->Post(reshuffler_ids_[0], std::move(env));
+  return PostControl(std::move(env));
 }
 
 bool JoinOperator::GrowJoiners(uint32_t steps) {
   return PostScale(static_cast<int64_t>(steps));
 }
 
-bool JoinOperator::SetShedRate(uint32_t rate_ppm) {
-  // Rides the same dedicated single-producer control lane as scale requests
-  // (Port() belongs to the Push driver thread; a shed policy thread must
-  // not touch it). scale_mu_ serializes concurrent control callers.
-  std::lock_guard<std::mutex> lock(scale_mu_);
-  if (scale_port_ == nullptr) {
-    scale_port_ = engine_.OpenIngress(reshuffler_ids_[0]);
-  }
-  Envelope env;
-  env.type = MsgType::kShed;
-  env.key = static_cast<int64_t>(rate_ppm);
-  env.seq = ++shed_version_;
-  return scale_port_->Post(reshuffler_ids_[0], std::move(env));
-}
-
 bool JoinOperator::ShrinkJoiners(uint32_t steps) {
   return PostScale(-static_cast<int64_t>(steps));
 }
 
+bool JoinOperator::SetShedRate(uint32_t rate_ppm) {
+  // Rides the same dedicated control lane as scale requests; the version
+  // stamp is taken under the lane's lock.
+  Envelope env;
+  env.type = MsgType::kShed;
+  env.key = static_cast<int64_t>(rate_ppm);
+  return PostControl(std::move(env));
+}
+
 void JoinOperator::AcceptResultsAs(Rel rel, int key_col) {
-  for (int id : reshuffler_ids_) {
+  for (int id : entry_ids_) {
     static_cast<ReshufflerCore*>(engine_.task(id))->AcceptResults(rel,
                                                                   key_col);
   }
 }
 
-void JoinOperator::AddResultFeeders(size_t upstream_slots) {
-  // Mirror RouteResultsTo's round-robin: upstream joiner slot i streams its
-  // egress (and thus its kEos) to sink i % num_sinks, i.e. reshuffler i % R
-  // when this operator's reshuffler_ids() are the sinks.
-  const size_t n = reshuffler_ids_.size();
-  std::vector<uint32_t> feeders(n, 0);
-  for (size_t i = 0; i < upstream_slots; ++i) ++feeders[i % n];
-  for (size_t r = 0; r < n; ++r) {
-    if (feeders[r] == 0) continue;
-    static_cast<ReshufflerCore*>(engine_.task(reshuffler_ids_[r]))
-        ->AddEosFeeders(feeders[r]);
-  }
-}
-
-void JoinOperator::FlushInput() {
-  if (port_ == nullptr) return;  // nothing ever pushed
-  stager_.FlushStaged(*port_);
-  port_->Flush();
+void JoinOperator::WireFeeders(size_t entry, uint32_t n) {
+  static_cast<ReshufflerCore*>(engine_.task(entry_ids_[entry]))
+      ->AddEosFeeders(n);
 }
 
 void JoinOperator::Checkpoint() {
   FlushInput();
   Envelope env;
   env.type = MsgType::kCheckpoint;
-  Port().Post(reshuffler_ids_[0], std::move(env));
-}
-
-void JoinOperator::SendEos() {
-  FlushInput();
-  for (int id : reshuffler_ids_) {
-    Envelope env;
-    env.type = MsgType::kEos;
-    Port().Post(id, std::move(env));
-  }
-}
-
-const JoinerCore& JoinOperator::joiner(size_t i) const {
-  return *static_cast<const JoinerCore*>(
-      const_cast<Engine&>(engine_).task(joiner_ids_[i]));
+  Port().Post(entry_ids_[0], std::move(env));
 }
 
 JoinerCore* JoinOperator::mutable_joiner(size_t i) {
-  return static_cast<JoinerCore*>(engine_.task(joiner_ids_[i]));
+  return static_cast<JoinerCore*>(engine_.task(emitter_ids_[i]));
 }
 
 const ReshufflerCore& JoinOperator::reshuffler(size_t i) const {
-  return *static_cast<const ReshufflerCore*>(
-      const_cast<Engine&>(engine_).task(reshuffler_ids_[i]));
+  return *static_cast<const ReshufflerCore*>(engine_.task(entry_ids_[i]));
 }
 
 const ControllerCore* JoinOperator::controller() const {
   return reshuffler(0).controller();
-}
-
-uint64_t JoinOperator::TotalOutputs() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    total += joiner(i).output_count();
-  }
-  return total;
-}
-
-std::vector<std::pair<uint64_t, uint64_t>> JoinOperator::CollectPairs() const {
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    const auto& pairs = joiner(i).pairs();
-    out.insert(out.end(), pairs.begin(), pairs.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-uint64_t JoinOperator::MaxInBytes() const {
-  uint64_t mx = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    mx = std::max(mx, joiner(i).metrics().in_bytes);
-  }
-  return mx;
-}
-
-uint64_t JoinOperator::TotalStoredBytes() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    total += joiner(i).metrics().stored_bytes;
-  }
-  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -352,104 +373,22 @@ class ShjOperator::ShjRouter : public Task {
 };
 
 ShjOperator::ShjOperator(Engine& engine, OperatorConfig config)
-    : engine_(engine), config_(std::move(config)) {
+    : Operator(engine, std::move(config)) {
   AJOIN_CHECK_MSG(config_.spec.kind == JoinSpec::Kind::kEqui,
                   "SHJ supports equi-joins only");
   const int base = static_cast<int>(engine_.num_tasks());
-  router_id_ = engine_.AddTask(
+  const int router_id = engine_.AddTask(
       std::make_unique<ShjRouter>(/*joiner_base=*/base + 1, config_.machines));
-  AJOIN_CHECK(router_id_ == base);
+  AJOIN_CHECK(router_id == base);
+  entry_ids_.push_back(router_id);
   for (uint32_t p = 0; p < config_.machines; ++p) {
-    JoinerConfig jc;
-    jc.spec = config_.spec;
-    jc.group = 0;
-    jc.machine_index = p;
+    JoinerConfig jc = MakeJoinerConfig(/*group=*/0, p, base + 1);
     jc.initial_layout = GridLayout::Initial(Mapping{1, config_.machines});
     jc.num_reshufflers = 1;  // the router
     jc.controller_task = -1;
-    jc.joiner_task_base = base + 1;
-    jc.collect_pairs = config_.collect_pairs;
-    jc.keep_rows = config_.keep_rows;
-    jc.latency_every = config_.latency_every;
-    jc.trace = config_.trace;
-    if (config_.registry != nullptr) {
-      jc.telemetry = config_.registry->Register(base + 1 + static_cast<int>(p),
-                                                TaskKind::kJoiner);
-    }
-    int id = engine_.AddTask(std::make_unique<JoinerCore>(std::move(jc)));
-    joiner_ids_.push_back(id);
+    emitter_ids_.push_back(
+        engine_.AddTask(std::make_unique<JoinerCore>(std::move(jc))));
   }
-}
-
-IngressPort& ShjOperator::Port() {
-  if (port_ == nullptr) port_ = engine_.OpenIngress(router_id_);
-  return *port_;
-}
-
-void ShjOperator::SetIngressBatch(uint32_t target) {
-  FlushInput();
-  // One destination: the router.
-  stager_.SetTarget(target, router_id_, 1);
-}
-
-void ShjOperator::Push(const StreamTuple& tuple) {
-  stager_.StageInput(Port(), router_id_, tuple, seq_++, engine_.NowMicros());
-}
-
-void ShjOperator::RouteResultsTo(const std::vector<int>& sinks) {
-  RouteJoinerResults(engine_, joiner_ids_, sinks);
-}
-
-void ShjOperator::FlushInput() {
-  if (port_ == nullptr) return;  // nothing ever pushed
-  stager_.FlushStaged(*port_);
-  port_->Flush();
-}
-
-void ShjOperator::SendEos() {
-  FlushInput();
-  Envelope env;
-  env.type = MsgType::kEos;
-  Port().Post(router_id_, std::move(env));
-}
-
-const JoinerCore& ShjOperator::joiner(size_t i) const {
-  return *static_cast<const JoinerCore*>(
-      const_cast<Engine&>(engine_).task(joiner_ids_[i]));
-}
-
-uint64_t ShjOperator::TotalOutputs() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    total += joiner(i).output_count();
-  }
-  return total;
-}
-
-std::vector<std::pair<uint64_t, uint64_t>> ShjOperator::CollectPairs() const {
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    const auto& pairs = joiner(i).pairs();
-    out.insert(out.end(), pairs.begin(), pairs.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-uint64_t ShjOperator::MaxInBytes() const {
-  uint64_t mx = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    mx = std::max(mx, joiner(i).metrics().in_bytes);
-  }
-  return mx;
-}
-
-uint64_t ShjOperator::TotalStoredBytes() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    total += joiner(i).metrics().stored_bytes;
-  }
-  return total;
 }
 
 }  // namespace ajoin

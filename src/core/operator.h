@@ -1,13 +1,17 @@
-// Operator assemblies: the adaptive Dynamic operator (plus its Static
-// configurations) and the content-sensitive parallel SHJ baseline, wired
-// onto an Engine (simulator or threads). Both implement the abstract
-// Operator interface, so drivers (RunWorkload), benches, and Dataflow
-// compose against one facade.
+// Operator assemblies on an Engine (simulator or threads). Every facade —
+// the adaptive Dynamic join operator (plus its Static configurations), the
+// content-sensitive parallel SHJ baseline, and the group-by AggOperator
+// (src/core/agg.h) — is an OperatorShell: entry tasks (reshufflers or
+// routers) that take input, emitter tasks (joiners or workers) that produce
+// results, and one implementation of the ingress and egress verbs on top.
+// The two join facades further share the Operator base, so drivers
+// (RunWorkload), benches, and Dataflow compose against one join facade.
 //
 // Task id layout (relative to the operator's task base — the engine's
 // num_tasks() at construction, so several operators stack on one engine):
-// reshufflers occupy [base, base + R); each group's joiners occupy a
-// contiguous block after that (sized for potential elastic expansion).
+// entry tasks occupy [base, base + R); the emitters occupy a contiguous
+// block after that (for the join, one block per group, sized for potential
+// elastic expansion).
 
 #pragma once
 
@@ -67,11 +71,10 @@ struct OperatorConfig {
   TraceRing* trace = nullptr;
 };
 
-/// Input-side staging shared by the operator facades: buffers input
-/// envelopes per destination task and ships size-targeted
-/// IngressPort::PostBatch runs; a target of 1 posts per envelope. The
-/// caller owns the port (and flushes staged runs before retargeting or
-/// sending control).
+/// The OperatorShell's input-side staging: buffers input envelopes per
+/// destination task and ships size-targeted IngressPort::PostBatch runs; a
+/// target of 1 posts per envelope. The caller owns the port (and flushes
+/// staged runs before retargeting or sending control).
 class IngressStager {
  public:
   /// Sets the batch target and the destination task-id block
@@ -108,48 +111,12 @@ class IngressStager {
   std::vector<TupleBatch> staged_;  // indexed by dest task id - dest_base_
 };
 
-/// Abstract facade over a distributed join operator assembled on an Engine.
-/// JoinOperator (the paper's adaptive operator) and ShjOperator (the
-/// content-sensitive baseline) implement it, so harnesses — RunWorkload,
-/// benches, tests, Dataflow — drive either through one type instead of a
-/// template per facade. Input flows in through Push (single producer);
-/// results leave either by quiescent polling (TotalOutputs / CollectPairs)
-/// or, once RouteResultsTo wired a streaming egress, as kResult batches
-/// pushed to sink tasks while the stream is still running.
-class Operator {
+/// Runtime control verbs a policy thread issues against a live operator
+/// (AutoscaleController, ShedController). The defaults report that the
+/// operator cannot act; the adaptive JoinOperator overrides them.
+class OperatorControl {
  public:
-  virtual ~Operator() = default;
-
-  /// Feeds one input tuple through the operator's ingress port (staged per
-  /// the ingress batch target). Single-producer; the caller drives engine
-  /// quiescence (see RunWorkload).
-  virtual void Push(const StreamTuple& tuple) = 0;
-
-  /// Sets the ingress batch target: input envelopes staged per destination
-  /// before they ship as one IngressPort::PostBatch. 1 posts per tuple
-  /// (required for deterministic per-tuple runs).
-  virtual void SetIngressBatch(uint32_t target) = 0;
-
-  /// Ships every staged input batch (any size) and flushes the port, so a
-  /// quiescent engine has seen every pushed tuple.
-  virtual void FlushInput() = 0;
-
-  /// Posts a barrier-mode migration checkpoint (no-op on non-adaptive
-  /// operators). Flushes staged input first.
-  virtual void Checkpoint() = 0;
-
-  /// Signals end-of-stream on every ingress edge (flushes staged input
-  /// first, so EOS cannot overtake it).
-  virtual void SendEos() = 0;
-
-  /// Streaming egress: routes every joiner's results as kResult batches to
-  /// `sinks`, round-robin by joiner slot (one sink streams everything; a
-  /// downstream stage passes its reshuffler ids). Every sink id must be
-  /// higher than this operator's task ids — the exchange plane's
-  /// deadlock-freedom ordering — which Dataflow guarantees by wiring
-  /// stages in creation order. Call after construction, before the engine
-  /// starts dispatching.
-  virtual void RouteResultsTo(const std::vector<int>& sinks) = 0;
+  virtual ~OperatorControl() = default;
 
   /// Elastic runtime scaling: requests `steps` 4x expansions of the live
   /// joiner grid, applied by the operator's controller one migration round
@@ -183,25 +150,161 @@ class Operator {
     (void)rate_ppm;
     return false;
   }
+};
 
-  /// Joiner introspection (engine must be quiescent): per-slot cores, the
-  /// number of allocated slots, and the input-sequence counter.
-  virtual const JoinerCore& joiner(size_t i) const = 0;
-  /// Allocated joiner slots (includes not-yet-active expansion slots).
-  virtual size_t num_joiner_slots() const = 0;
-  /// Tuples pushed so far (the next driver-stamped sequence number).
-  virtual uint64_t pushed_total() const = 0;
+/// The ingress/egress shell every operator facade is built on. A facade
+/// assembles its tasks on the engine and records them here: the entry
+/// tasks (reshufflers or routers) that input is sprayed over, and the
+/// emitter tasks (joiners or workers) whose results leave the operator.
+/// The shell owns the ingress port, the IngressStager and the sequence
+/// counter, and implements the ingress verbs (Push, SetIngressBatch,
+/// FlushInput, SendEos) and the cascade wiring verbs (RouteResultsTo,
+/// AddResultFeeders) once for every family. Input flows in through Push
+/// (single producer); results leave either by quiescent polling or, once
+/// RouteResultsTo wired a streaming egress, as kResult batches pushed to
+/// sink tasks while the stream is still running.
+class OperatorShell {
+ public:
+  virtual ~OperatorShell();
+
+  /// Feeds one input tuple: stamps the next sequence number and the
+  /// engine clock, and stages it towards the entry task ReshufflerFor picks
+  /// (paper: incoming tuples are randomly routed to reshufflers), through
+  /// the ingress port — opened lazily on first use. With an ingress batch
+  /// target > 1 the tuple ships in a PostBatch once its entry task's run
+  /// reaches the target. The caller drives engine quiescence (see
+  /// RunWorkload). Single-producer, like the port under it.
+  void Push(const StreamTuple& tuple);
+
+  /// Sets the ingress batch target: input envelopes staged per entry task
+  /// before they ship as one PostBatch. 1 (default) posts per tuple —
+  /// required for deterministic per-tuple runs; threaded runs use
+  /// size-targeted batches (see RunOptions::ingress_batch). Flushes input
+  /// staged under the old target first, so nothing is stranded.
+  void SetIngressBatch(uint32_t target);
+
+  /// Ships every staged input batch (any size) and flushes the port, so a
+  /// quiescent engine has seen every pushed tuple. SendEos (and the join's
+  /// Checkpoint) call it implicitly; drivers call it before WaitQuiescent.
+  void FlushInput();
+
+  /// Signals end-of-stream on every entry task's ingress edge (after
+  /// flushing staged input, so EOS cannot overtake it). With cascade
+  /// feeders wired, the operator drains once the upstream EOS arrive too.
+  void SendEos();
+
+  /// Streaming egress: routes every emitter's results as kResult batches
+  /// (followed by kEos once it drains) to `sinks`, round-robin by emitter
+  /// slot (one sink streams everything; a downstream stage passes its
+  /// entry ids). Every sink id must be higher than this operator's task
+  /// ids — the exchange plane's deadlock-freedom ordering — which Dataflow
+  /// guarantees by wiring stages in creation order. Call after
+  /// construction, before the engine starts dispatching.
+  void RouteResultsTo(const std::vector<int>& sinks);
+
+  /// Marks this operator as a cascade stage fed by `upstream_slots`
+  /// emitters: distributes the expected kEos markers across this
+  /// operator's entry tasks exactly as RouteResultsTo's round-robin
+  /// distributes the egress edges (slot i feeds entry task i % R), so each
+  /// entry task holds its end-of-stream until every wired feeder has
+  /// drained. Wiring-time only (Dataflow::Connect).
+  void AddResultFeeders(size_t upstream_slots);
+
+  /// Cascade wiring (Dataflow::Connect): upstream kResult envelopes enter
+  /// as relation `rel` inputs keyed by result-row column `key_col` (-1
+  /// keeps the upstream key). Families that key results by their own spec
+  /// (the group-by's AggSpec::key_col) ignore it.
+  virtual void AcceptResultsAs(Rel rel, int key_col) {
+    (void)rel;
+    (void)key_col;
+  }
+
+  /// The deterministic entry-task spray Push applies to sequence number
+  /// `seq`. Public so external multi-port drivers that assign their own
+  /// sequence numbers route exactly like a single Push-driven run.
+  static int ReshufflerFor(uint64_t seq, uint32_t num_reshufflers);
+
+  /// Engine task ids of the entry tasks (reshufflers or routers) — the
+  /// ingress targets an upstream stage wires its egress to.
+  const std::vector<int>& entry_ids() const { return entry_ids_; }
+  /// Engine task ids of the emitter tasks (joiners or workers), including
+  /// dormant elastic slots.
+  const std::vector<int>& emitter_ids() const { return emitter_ids_; }
+  /// Tuples pushed so far (the next sequence number Push will stamp).
+  uint64_t pushed_total() const { return seq_; }
+  /// Sets the next input sequence number (recovery replay watermark).
+  void SetNextSeq(uint64_t seq) { seq_ = seq; }
+
+ protected:
+  explicit OperatorShell(Engine& engine) : engine_(engine) {}
+
+  /// Points emitter `slot` at engine task `sink` (RouteResultsTo).
+  virtual void WireEmitter(size_t slot, int sink) = 0;
+  /// Entry task `entry` will receive `n` more upstream kEos markers
+  /// (AddResultFeeders). The default rejects: the operator takes no
+  /// upstream results.
+  virtual void WireFeeders(size_t entry, uint32_t n);
+
+  /// The driver's ingress port, opened lazily (threaded engines require
+  /// Start first). Single-producer: the Push driver's thread only.
+  IngressPort& Port();
+
+  Engine& engine_;
+  std::vector<int> entry_ids_;    // filled by the facade's assembly
+  std::vector<int> emitter_ids_;  // filled by the facade's assembly
+
+ private:
+  uint64_t seq_ = 0;
+  std::unique_ptr<IngressPort> port_;
+  IngressStager stager_;
+};
+
+/// Common base of the two join facades: JoinOperator (the paper's adaptive
+/// operator) and ShjOperator (the content-sensitive baseline), whose
+/// emitters are JoinerCore slots. Harnesses — RunWorkload, benches, tests,
+/// Dataflow — drive either through this one type.
+class Operator : public OperatorShell, public OperatorControl {
+ public:
+  /// Posts a barrier-mode migration checkpoint (no-op on non-adaptive
+  /// operators). Flushes staged input first.
+  virtual void Checkpoint() {}
+
   /// The adaptivity controller, or null for non-adaptive operators.
-  virtual const ControllerCore* controller() const = 0;
+  virtual const ControllerCore* controller() const { return nullptr; }
+
+  /// Joiner core at slot `i` (engine must be quiescent).
+  const JoinerCore& joiner(size_t i) const;
+  /// Allocated joiner slots (includes not-yet-active expansion slots).
+  size_t num_joiner_slots() const { return emitter_ids_.size(); }
+  /// Engine task ids of every allocated joiner slot (live or dormant) — the
+  /// filter an AutoscaleController applies to registry snapshots.
+  const std::vector<int>& joiner_task_ids() const { return emitter_ids_; }
 
   /// Sum of joiner output counts. Engine must be quiescent.
-  virtual uint64_t TotalOutputs() const = 0;
+  uint64_t TotalOutputs() const;
   /// All collected (r_seq, s_seq) pairs, sorted (collect_pairs mode).
-  virtual std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const;
   /// Max per-joiner received input bytes — the measured ILF.
-  virtual uint64_t MaxInBytes() const = 0;
+  uint64_t MaxInBytes() const;
   /// Total bytes currently stored across the cluster.
-  virtual uint64_t TotalStoredBytes() const = 0;
+  uint64_t TotalStoredBytes() const;
+
+  /// The configuration the operator was assembled with.
+  const OperatorConfig& config() const { return config_; }
+
+ protected:
+  Operator(Engine& engine, OperatorConfig config)
+      : OperatorShell(engine), config_(std::move(config)) {}
+
+  /// Builds the JoinerConfig of joiner slot `machine_index` in a group
+  /// block starting at engine id `joiner_task_base` (registering its
+  /// telemetry cell), with this operator's spec and collection options.
+  JoinerConfig MakeJoinerConfig(uint32_t group, uint32_t machine_index,
+                                int joiner_task_base) const;
+
+  void WireEmitter(size_t slot, int sink) override;
+
+  OperatorConfig config_;
 };
 
 /// The paper's dataflow theta-join operator (Dynamic / StaticMid /
@@ -210,36 +313,9 @@ class JoinOperator : public Operator {
  public:
   JoinOperator(Engine& engine, OperatorConfig config);
 
-  /// Feeds one input tuple (stamps the global sequence number) through the
-  /// operator's ingress port, opened lazily on first use. With an ingress
-  /// batch target > 1 the tuple is staged per reshuffler and shipped as a
-  /// PostBatch once the target is reached. The caller drives engine
-  /// quiescence (see RunWorkload). Single-producer, like the port under it.
-  void Push(const StreamTuple& tuple) override;
-
-  /// Sets the ingress batch target: input envelopes staged per reshuffler
-  /// before they ship as one PostBatch. 1 (default) posts per tuple —
-  /// required for deterministic per-tuple runs; threaded runs use
-  /// size-targeted batches (see RunOptions::ingress_batch).
-  void SetIngressBatch(uint32_t target) override;
-
-  /// Ships every staged input batch (any size) and flushes the port, so a
-  /// quiescent engine has seen every pushed tuple. Checkpoint/SendEos call
-  /// it implicitly; drivers call it before WaitQuiescent.
-  void FlushInput() override;
-
   /// Posts a barrier-mode migration checkpoint to the controller (after
   /// flushing staged input, so the checkpoint cannot overtake it).
   void Checkpoint() override;
-
-  /// Signals end-of-stream to all reshufflers (after flushing staged
-  /// input, so EOS cannot overtake it on any ingress edge).
-  void SendEos() override;
-
-  /// Routes every joiner's results to `sinks`, round-robin by joiner slot
-  /// (see Operator::RouteResultsTo for the id-ordering contract). Call
-  /// before the engine starts dispatching.
-  void RouteResultsTo(const std::vector<int>& sinks) override;
 
   /// Queues `steps` 4x grow steps with the controller (kScale request via a
   /// dedicated ingress lane, so it never races the Push producer's port).
@@ -253,45 +329,25 @@ class JoinOperator : public Operator {
   bool ShrinkJoiners(uint32_t steps) override;
 
   /// Posts a kShed admission-rate change through the dedicated control lane
-  /// (see Operator::SetShedRate). Unlike scaling, shedding needs no slot
-  /// headroom or single-group layout, so every JoinOperator supports it.
+  /// (see OperatorControl::SetShedRate). Unlike scaling, shedding needs no
+  /// slot headroom or single-group layout, so every JoinOperator supports
+  /// it.
   bool SetShedRate(uint32_t rate_ppm) override;
 
   /// Marks this operator as a cascade stage: every reshuffler accepts
   /// kResult envelopes from an upstream stage's egress as relation `rel`
   /// inputs, keyed by result-row column `key_col` (-1 keeps the upstream
   /// join key). Wiring-time only (Dataflow::Connect).
-  void AcceptResultsAs(Rel rel, int key_col);
-
-  /// Marks this operator as a cascade stage fed by `upstream_slots` joiner
-  /// egresses: distributes the expected kEos markers across this operator's
-  /// reshufflers exactly as RouteResultsTo's round-robin distributes the
-  /// egress edges (slot i feeds reshuffler i % R), so each reshuffler holds
-  /// its downstream EOS fan-out until every wired feeder has drained.
-  /// Wiring-time only (Dataflow::Connect).
-  void AddResultFeeders(size_t upstream_slots);
-
-  /// The deterministic reshuffler spray Push applies to sequence number
-  /// `seq` (paper: incoming tuples are randomly routed to reshufflers).
-  /// Public so external multi-port drivers that assign their own sequence
-  /// numbers route exactly like a single Push-driven run.
-  static int ReshufflerFor(uint64_t seq, uint32_t num_reshufflers);
+  void AcceptResultsAs(Rel rel, int key_col) override;
 
   /// Number of reshufflers (== machines J).
-  uint32_t num_reshufflers() const { return num_reshufflers_; }
-  /// Allocated joiner slots (all groups, including expansion headroom).
-  size_t num_joiner_slots() const override { return joiner_ids_.size(); }
-  /// Tuples pushed so far (the next sequence number Push will stamp).
-  uint64_t pushed_total() const override { return seq_; }
+  uint32_t num_reshufflers() const {
+    return static_cast<uint32_t>(entry_ids_.size());
+  }
   /// Engine task ids of this operator's reshufflers — the ingress targets a
   /// Dataflow upstream stage wires its egress to.
-  const std::vector<int>& reshuffler_ids() const { return reshuffler_ids_; }
-  /// Engine task ids of every allocated joiner slot (live or dormant) — the
-  /// filter an AutoscaleController applies to registry snapshots.
-  const std::vector<int>& joiner_task_ids() const { return joiner_ids_; }
+  const std::vector<int>& reshuffler_ids() const { return entry_ids_; }
 
-  /// Joiner core at slot `i` (engine must be quiescent).
-  const JoinerCore& joiner(size_t i) const override;
   /// Mutable access for recovery (RestoreState); engine must be quiescent.
   JoinerCore* mutable_joiner(size_t i);
   /// Reshuffler core at index `i` (engine must be quiescent).
@@ -299,43 +355,21 @@ class JoinOperator : public Operator {
   /// The controller (hosted on reshuffler 0).
   const ControllerCore* controller() const override;
 
-  /// Sets the next input sequence number (recovery replay watermark).
-  void SetNextSeq(uint64_t seq) { seq_ = seq; }
-
-  /// Sum of joiner output counts. Engine must be quiescent.
-  uint64_t TotalOutputs() const override;
-  /// All collected (r_seq, s_seq) pairs, sorted (collect_pairs mode).
-  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const override;
-  /// Max per-joiner received input bytes — the measured ILF.
-  uint64_t MaxInBytes() const override;
-  /// Total bytes currently stored across the cluster.
-  uint64_t TotalStoredBytes() const override;
-
-  /// The configuration the operator was assembled with.
-  const OperatorConfig& config() const { return config_; }
   /// True when J decomposed into several binary groups (section 4.2.2).
   bool multi_group() const { return group_count_ > 1; }
 
  private:
-  /// Lazily opens the ingress port (threaded engines require Start first).
-  IngressPort& Port();
+  void WireFeeders(size_t entry, uint32_t n) override;
+  /// Posts one envelope on the control lane (see scale_mu_).
+  bool PostControl(Envelope env);
   /// Shared body of Grow/ShrinkJoiners: posts one signed kScale request.
   bool PostScale(int64_t steps);
 
-  Engine& engine_;
-  OperatorConfig config_;
-  int task_base_ = 0;  // engine id of reshuffler 0 (num_tasks() at ctor)
-  uint32_t num_reshufflers_ = 0;
   uint32_t group_count_ = 0;
-  std::vector<int> reshuffler_ids_;
-  std::vector<int> joiner_ids_;  // all groups, block-contiguous
-  uint64_t seq_ = 0;
-  uint64_t next_reshuffler_ = 0;
-  std::unique_ptr<IngressPort> port_;
-  IngressStager stager_;
-  // Scale requests ride their own single-producer lane: Port() belongs to
-  // the Push driver thread, while Grow/ShrinkJoiners may be called from a
-  // policy thread. scale_mu_ serializes concurrent scale callers.
+  // Scale and shed requests ride their own single-producer lane: the
+  // shell's port belongs to the Push driver thread, while
+  // Grow/ShrinkJoiners and SetShedRate may be called from a policy thread.
+  // scale_mu_ serializes concurrent control callers.
   std::mutex scale_mu_;
   std::unique_ptr<IngressPort> scale_port_;  // guarded by scale_mu_
   // Version stamped on each kShed (guarded by scale_mu_): joiners receive
@@ -346,71 +380,17 @@ class JoinOperator : public Operator {
 
 /// Content-sensitive parallel symmetric hash join (the Shj baseline of
 /// section 5): hash-partitions both inputs on the join key — no replication,
-/// no adaptivity, equi-joins only, collapses under key skew.
+/// no adaptivity, equi-joins only, collapses under key skew. One router
+/// task is its single entry task. Its GrowJoiners/ShrinkJoiners keep the
+/// "cannot" default: content-sensitive partitioning pins each key to one
+/// machine for the whole run, so stored state cannot be repartitioned
+/// mid-stream — the paper's argument for the (n,m)-mapping operator.
 class ShjOperator : public Operator {
  public:
   ShjOperator(Engine& engine, OperatorConfig config);
 
-  /// Feeds one input tuple through the operator's ingress port (staged per
-  /// the ingress batch target, like JoinOperator::Push).
-  void Push(const StreamTuple& tuple) override;
-  /// Input batch target before a PostBatch ships to the router (1 = post
-  /// per tuple).
-  void SetIngressBatch(uint32_t target) override;
-  /// Ships the staged input batch and flushes the port.
-  void FlushInput() override;
-  /// No adaptivity: checkpoints are a no-op.
-  void Checkpoint() override {}
-  /// Signals end-of-stream to the router (flushes staged input first).
-  void SendEos() override;
-  /// Routes every joiner's results to `sinks`, round-robin by joiner slot
-  /// (see Operator::RouteResultsTo). Call before the engine starts.
-  void RouteResultsTo(const std::vector<int>& sinks) override;
-
-  /// Always false: SHJ's content-sensitive partitioning pins each key to
-  /// one machine for the whole run, so stored state cannot be repartitioned
-  /// mid-stream — the paper's argument for the (n,m)-mapping operator.
-  bool GrowJoiners(uint32_t steps) override {
-    (void)steps;
-    return false;
-  }
-  /// Always false (see GrowJoiners).
-  bool ShrinkJoiners(uint32_t steps) override {
-    (void)steps;
-    return false;
-  }
-
-  /// Joiner introspection (see Operator); engine must be quiescent.
-  const JoinerCore& joiner(size_t i) const override;
-  /// Allocated joiner slots.
-  size_t num_joiner_slots() const override { return joiner_ids_.size(); }
-  /// Tuples pushed so far.
-  uint64_t pushed_total() const override { return seq_; }
-  /// Always null: the SHJ baseline has no controller.
-  const ControllerCore* controller() const override { return nullptr; }
-
-  /// Sum of joiner output counts (quiescent engine).
-  uint64_t TotalOutputs() const override;
-  /// All collected (r_seq, s_seq) pairs, sorted (collect_pairs mode).
-  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const override;
-  /// Max per-joiner received input bytes.
-  uint64_t MaxInBytes() const override;
-  /// Total bytes currently stored across the cluster.
-  uint64_t TotalStoredBytes() const override;
-
  private:
   class ShjRouter;
-
-  /// Lazily opens the ingress port (threaded engines require Start first).
-  IngressPort& Port();
-
-  Engine& engine_;
-  OperatorConfig config_;
-  int router_id_ = 0;
-  std::vector<int> joiner_ids_;
-  uint64_t seq_ = 0;
-  std::unique_ptr<IngressPort> port_;
-  IngressStager stager_;
 };
 
 }  // namespace ajoin

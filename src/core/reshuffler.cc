@@ -62,15 +62,17 @@ void ReshufflerCore::RestampResult(Envelope& msg) {
 void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
   switch (msg.type) {
     case MsgType::kInput:
-      HandleInput(msg, ctx);
-      break;
-    case MsgType::kResult:
+    case MsgType::kResult: {
       // Upstream-stage egress enters here like fresh input: restamp, then
-      // the ordinary routing path (controller duty included, so adaptivity
-      // runs on the cascaded stream too).
-      RestampResult(msg);
-      HandleInput(msg, ctx);
+      // the one routing path (controller duty included, so adaptivity runs
+      // on the cascaded stream too). A lone tuple routes as a one-envelope
+      // batch: the same envelopes in the same order as routing it directly.
+      if (msg.type == MsgType::kResult) RestampResult(msg);
+      TupleBatch batch;
+      batch.items.push_back(std::move(msg));
+      RouteBatch(batch, ctx);
       break;
+    }
     case MsgType::kEpochChange:
       HandleEpochChange(msg, ctx);
       break;
@@ -178,7 +180,7 @@ void ReshufflerCore::OnBatch(TupleBatch batch, Context& ctx) {
   if (kind == MsgType::kResult) {
     for (Envelope& msg : batch.items) RestampResult(msg);
   }
-  HandleInputBatch(batch, ctx);
+  RouteBatch(batch, ctx);
   // One telemetry publish per batch (the fallback path above publishes per
   // envelope through OnMessage).
   if (config_.telemetry != nullptr) {
@@ -194,14 +196,16 @@ void ReshufflerCore::RebuildRouteCache(GroupRoute& g) {
   for (uint32_t j = 0; j < map.m; ++j) g.s_targets[j] = g.layout.ColMachines(j);
 }
 
-void ReshufflerCore::HandleInputBatch(TupleBatch& batch, Context& ctx) {
+void ReshufflerCore::RouteBatch(TupleBatch& batch, Context& ctx) {
   for (Envelope& msg : batch.items) {
     const uint64_t tag = TagForSeq(msg.seq, msg.rel);
     metrics_.routed_tuples++;
     if (stats_ != nullptr) stats_->Observe(msg.rel, msg.key, msg.bytes);
-    // Controller duty per tuple, exactly as HandleInput: decisions only take
-    // effect when the kEpochChange loops back through this reshuffler's own
-    // inbox — after this batch — so the mapping is constant batch-wide.
+    // Controller duty first (Alg. 1 line 6), then route with the mapping
+    // the reshuffler currently knows. Decisions only take effect when the
+    // kEpochChange loops back through this reshuffler's own inbox — after
+    // this batch — so the mapping is constant batch-wide and
+    // signal-before-new-epoch ordering holds.
     if (controller_ != nullptr) {
       std::vector<EpochSpec> decisions;
       controller_->OnTuple(msg.rel, msg.bytes, &decisions);
@@ -263,42 +267,6 @@ uint32_t ReshufflerCore::StorageGroupOf(uint64_t tag) const {
     if (u < groups_[g].block.cum_prob) return g;
   }
   return static_cast<uint32_t>(groups_.size()) - 1;
-}
-
-void ReshufflerCore::HandleInput(Envelope& msg, Context& ctx) {
-  uint64_t tag = TagForSeq(msg.seq, msg.rel);
-  metrics_.routed_tuples++;
-  if (stats_ != nullptr) stats_->Observe(msg.rel, msg.key, msg.bytes);
-  // Controller duty first (Alg. 1 line 6), then route with the mapping the
-  // reshuffler currently knows — the epoch change loops back through this
-  // reshuffler's own channel, preserving signal-before-new-epoch ordering.
-  if (controller_ != nullptr) {
-    std::vector<EpochSpec> decisions;
-    controller_->OnTuple(msg.rel, msg.bytes, &decisions);
-    Broadcast(decisions, ctx);
-  }
-  uint32_t storage_group = StorageGroupOf(tag);
-  for (uint32_t g = 0; g < groups_.size(); ++g) {
-    RouteToGroup(msg, tag, g, /*store=*/g == storage_group, ctx);
-  }
-}
-
-void ReshufflerCore::RouteToGroup(const Envelope& msg, uint64_t tag,
-                                  uint32_t group, bool store, Context& ctx) {
-  GroupRoute& g = groups_[group];
-  std::vector<uint32_t> targets = g.layout.TargetsFor(msg.rel, tag);
-  for (uint32_t machine : targets) {
-    Envelope data = msg;
-    data.type = MsgType::kData;
-    data.tag = tag;
-    data.epoch = g.epoch;
-    data.group = group;
-    data.store = store;
-    metrics_.sent_msgs++;
-    metrics_.sent_bytes += data.bytes;
-    ctx.Send(g.block.joiner_task_base + static_cast<int>(machine),
-             std::move(data));
-  }
 }
 
 void ReshufflerCore::Broadcast(const std::vector<EpochSpec>& specs,

@@ -133,13 +133,12 @@ class ReshufflerCore : public Task {
     size_t run_base = 0;
   };
 
-  void HandleInput(Envelope& msg, Context& ctx);
-  void HandleInputBatch(TupleBatch& batch, Context& ctx);
+  /// Routes a run of kInput envelopes (kResult already restamped) — the
+  /// one routing path, shared by OnBatch and per-envelope OnMessage.
+  void RouteBatch(TupleBatch& batch, Context& ctx);
   void RestampResult(Envelope& msg);
   void HandleEpochChange(Envelope& msg, Context& ctx);
   void Broadcast(const std::vector<EpochSpec>& specs, Context& ctx);
-  void RouteToGroup(const Envelope& msg, uint64_t tag, uint32_t group,
-                    bool store, Context& ctx);
   uint32_t StorageGroupOf(uint64_t tag) const;
   static void RebuildRouteCache(GroupRoute& g);
 

@@ -8,7 +8,8 @@
 
 namespace ajoin {
 
-ShedController::ShedController(Operator& op, const MetricsRegistry* registry,
+ShedController::ShedController(OperatorControl& op,
+                               const MetricsRegistry* registry,
                                std::vector<int> joiner_tasks,
                                ShedConfig config, Options options)
     : op_(op),
@@ -20,7 +21,8 @@ ShedController::ShedController(Operator& op, const MetricsRegistry* registry,
   AJOIN_CHECK_MSG(!joiner_tasks_.empty(), "shed: no joiner tasks to watch");
 }
 
-ShedController::ShedController(Operator& op, const MetricsRegistry* registry,
+ShedController::ShedController(OperatorControl& op,
+                               const MetricsRegistry* registry,
                                std::vector<int> joiner_tasks,
                                ShedConfig config)
     : ShedController(op, registry, std::move(joiner_tasks), config,

@@ -15,8 +15,9 @@
 //    rate change, and multiplicative backoff/recovery all live here.
 //  * ShedController — a sampler-style thread that builds samples from
 //    MetricsRegistry snapshots plus optional exchange-plane and ingress-
-//    backlog sources, runs the policy, and calls Operator::SetShedRate on
-//    every rate change. It keeps a decision log for tests and telemetry.
+//    backlog sources, runs the policy, and calls
+//    OperatorControl::SetShedRate on every rate change. It keeps a decision
+//    log for tests and telemetry.
 
 #pragma once
 
@@ -34,7 +35,7 @@
 
 namespace ajoin {
 
-class Operator;  // src/core/operator.h
+class OperatorControl;  // src/core/operator.h
 
 /// Policy knobs. Ratios are fractions of wall time; rates are ppm.
 struct ShedConfig {
@@ -152,7 +153,8 @@ class ShedPolicy {
 };
 
 /// Background controller: samples the telemetry plane at a fixed period,
-/// runs ShedPolicy, and drives Operator::SetShedRate on every rate change.
+/// runs ShedPolicy, and drives OperatorControl::SetShedRate on every rate
+/// change.
 class ShedController {
  public:
   struct Options {
@@ -172,11 +174,11 @@ class ShedController {
   /// Watches `registry` cells whose task ids are in `joiner_tasks` (the
   /// operator's joiner_task_ids()) and sheds `op`. Neither is owned; both
   /// must outlive the controller. Call Start() after the engine starts.
-  ShedController(Operator& op, const MetricsRegistry* registry,
+  ShedController(OperatorControl& op, const MetricsRegistry* registry,
                  std::vector<int> joiner_tasks, ShedConfig config,
                  Options options);
   /// Same, with default Options (2 ms tick).
-  ShedController(Operator& op, const MetricsRegistry* registry,
+  ShedController(OperatorControl& op, const MetricsRegistry* registry,
                  std::vector<int> joiner_tasks, ShedConfig config);
   ~ShedController();
 
@@ -217,7 +219,7 @@ class ShedController {
   void Loop();
   ShedSample BuildSample(uint64_t t_us);
 
-  Operator& op_;
+  OperatorControl& op_;
   const MetricsRegistry* registry_;
   std::unordered_set<int> joiner_tasks_;
   ShedPolicy policy_;

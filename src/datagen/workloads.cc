@@ -41,8 +41,8 @@ Workload Workload::Synthetic(uint64_t r_count, uint64_t s_count,
   w.r_.base_count = r_count;
   w.r_.filtered_count = r_count;
   w.r_.tuple_bytes = r_bytes;
-  w.r_.gen = [key_domain, seed](uint64_t i, int64_t* key, Row* row,
-                                bool want_row) {
+  w.r_.gen = [key_domain, seed](uint64_t i, int64_t* key, Row* /*row*/,
+                                bool /*want_row*/) {
     Rng rng(SplitMix64(seed * 31 + i * 2));
     *key = static_cast<int64_t>(1 + rng.Uniform(key_domain));
     return true;
@@ -50,7 +50,8 @@ Workload Workload::Synthetic(uint64_t r_count, uint64_t s_count,
   w.s_.base_count = s_count;
   w.s_.filtered_count = s_count;
   w.s_.tuple_bytes = s_bytes;
-  w.s_.gen = [zipf, seed](uint64_t i, int64_t* key, Row* row, bool want_row) {
+  w.s_.gen = [zipf, seed](uint64_t i, int64_t* key, Row* /*row*/,
+                          bool /*want_row*/) {
     Rng rng(SplitMix64(seed * 37 + i * 2 + 1));
     *key = static_cast<int64_t>(zipf->Sample(rng));
     return true;

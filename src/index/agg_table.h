@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -125,7 +126,8 @@ class AggTable {
   /// Drops every group and releases nothing (capacity is retained, matching
   /// the joiner's migration-rebuild idiom where a Reserve follows).
   void Clear() {
-    std::memset(ctrl_.data(), kEmpty, ctrl_.size());
+    // std::fill, not memset: a never-allocated table has a null data().
+    std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
     used_slots_ = 0;
   }
 

@@ -34,7 +34,9 @@ int Dataflow::AddJoin(const OperatorConfig& config) {
   OperatorConfig cfg = config;
   if (cfg.registry == nullptr) cfg.registry = registry_;
   if (cfg.trace == nullptr) cfg.trace = trace_;
-  stage.op = std::make_unique<JoinOperator>(engine_, cfg);
+  auto op = std::make_unique<JoinOperator>(engine_, cfg);
+  stage.join = op.get();
+  stage.op = std::move(op);
   stage.registry = cfg.registry;
   stages_.push_back(std::move(stage));
   return static_cast<int>(stages_.size()) - 1;
@@ -45,7 +47,9 @@ int Dataflow::AddGroupBy(const AggConfig& config) {
   AggConfig cfg = config;
   if (cfg.registry == nullptr) cfg.registry = registry_;
   if (cfg.trace == nullptr) cfg.trace = trace_;
-  stage.agg = std::make_unique<AggOperator>(engine_, cfg);
+  auto op = std::make_unique<AggOperator>(engine_, cfg);
+  stage.agg = op.get();
+  stage.op = std::move(op);
   stage.registry = cfg.registry;
   stages_.push_back(std::move(stage));
   return static_cast<int>(stages_.size()) - 1;
@@ -69,50 +73,39 @@ void Dataflow::Connect(int from, int to, ConnectOptions options) {
                   "edges point at higher task ids)");
   Stage& src = stages_[static_cast<size_t>(from)];
   Stage& dst = stages_[static_cast<size_t>(to)];
-  AJOIN_CHECK_MSG(src.op != nullptr || src.agg != nullptr,
+  AJOIN_CHECK_MSG(src.op != nullptr,
                   "Connect: source must be a join or group-by stage");
   AJOIN_CHECK_MSG(!src.connected_out, "Connect: stage egress already wired");
   src.connected_out = true;
-  if (src.agg != nullptr) {
-    // A group-by's egress is its final (or periodic) aggregate batches:
-    // they terminate at a sink, never re-enter another operator stage.
-    AJOIN_CHECK_MSG(dst.sink != nullptr,
-                    "Connect: group-by egress must terminate at a sink");
-    src.agg->RouteResultsTo({dst.sink_task});
+  if (dst.sink != nullptr) {
+    src.op->RouteResultsTo({dst.sink_task});
     return;
   }
-  if (dst.op != nullptr) {
-    // One inbound result edge per join stage: a reshuffler cannot tell
-    // result envelopes from different upstream stages apart, so a second
-    // edge would silently overwrite the first edge's rel/key_col
-    // restamping. (Sinks take any number of inbound edges.)
-    AJOIN_CHECK_MSG(!dst.connected_in,
-                    "Connect: join stage already has an inbound result edge");
-    dst.connected_in = true;
-    src.op->RouteResultsTo(dst.op->reshuffler_ids());
-    dst.op->AcceptResultsAs(options.rel, options.key_col);
-    // Every upstream joiner slot forwards one kEos when it drains; each
-    // downstream reshuffler must wait for its wired share before fanning
-    // end-of-stream out to its own joiners.
-    dst.op->AddResultFeeders(src.op->joiner_task_ids().size());
-  } else if (dst.agg != nullptr) {
-    AJOIN_CHECK_MSG(
-        !dst.connected_in,
-        "Connect: group-by stage already has an inbound result edge");
-    dst.connected_in = true;
-    src.op->RouteResultsTo(dst.agg->router_ids());
-    dst.agg->AddResultFeeders(src.op->joiner_task_ids().size());
-  } else {
-    src.op->RouteResultsTo({dst.sink_task});
-  }
+  // A group-by's egress is its final (or periodic) aggregate batches: they
+  // terminate at a sink, never re-enter another operator stage.
+  AJOIN_CHECK_MSG(src.agg == nullptr,
+                  "Connect: group-by egress must terminate at a sink");
+  // One inbound result edge per operator stage: an entry task cannot tell
+  // result envelopes from different upstream stages apart, so a second edge
+  // would silently overwrite the first edge's restamping. (Sinks take any
+  // number of inbound edges.)
+  AJOIN_CHECK_MSG(!dst.connected_in,
+                  "Connect: stage already has an inbound result edge");
+  dst.connected_in = true;
+  src.op->RouteResultsTo(dst.op->entry_ids());
+  dst.op->AcceptResultsAs(options.rel, options.key_col);
+  // Every upstream emitter forwards one kEos when it drains; each
+  // downstream entry task must wait for its wired share before it treats
+  // its input as drained.
+  dst.op->AddResultFeeders(src.op->emitter_ids().size());
 }
 
 JoinOperator& Dataflow::join(int handle) {
   AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
                   "join(): unknown stage");
   Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.op != nullptr, "join(): not a join stage");
-  return *stage.op;
+  AJOIN_CHECK_MSG(stage.join != nullptr, "join(): not a join stage");
+  return *stage.join;
 }
 
 AggOperator& Dataflow::groupby(int handle) {
@@ -136,14 +129,15 @@ AutoscaleController& Dataflow::SetAutoscale(
   AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
                   "SetAutoscale: unknown stage");
   Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.op != nullptr, "SetAutoscale: not a join stage");
+  AJOIN_CHECK_MSG(stage.join != nullptr, "SetAutoscale: not a join stage");
   AJOIN_CHECK_MSG(stage.registry != nullptr,
                   "SetAutoscale: stage has no telemetry registry (call "
                   "SetTelemetry before AddJoin)");
   AJOIN_CHECK_MSG(stage.autoscale == nullptr,
                   "SetAutoscale: stage already has a controller");
   stage.autoscale = std::make_unique<AutoscaleController>(
-      *stage.op, stage.registry, stage.op->joiner_task_ids(), config, options);
+      *stage.join, stage.registry, stage.join->joiner_task_ids(), config,
+      options);
   return *stage.autoscale;
 }
 
@@ -173,14 +167,15 @@ ShedController& Dataflow::SetShedding(int handle, ShedConfig config,
   AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
                   "SetShedding: unknown stage");
   Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.op != nullptr, "SetShedding: not a join stage");
+  AJOIN_CHECK_MSG(stage.join != nullptr, "SetShedding: not a join stage");
   AJOIN_CHECK_MSG(stage.registry != nullptr,
                   "SetShedding: stage has no telemetry registry (call "
                   "SetTelemetry before AddJoin)");
   AJOIN_CHECK_MSG(stage.shed == nullptr,
                   "SetShedding: stage already has a shed controller");
   stage.shed = std::make_unique<ShedController>(
-      *stage.op, stage.registry, stage.op->joiner_task_ids(), config, options);
+      *stage.join, stage.registry, stage.join->joiner_task_ids(), config,
+      options);
   return *stage.shed;
 }
 
@@ -208,14 +203,12 @@ ShedController& Dataflow::shedding(int handle) {
 void Dataflow::FlushInput() {
   for (Stage& stage : stages_) {
     if (stage.op != nullptr) stage.op->FlushInput();
-    if (stage.agg != nullptr) stage.agg->FlushInput();
   }
 }
 
 void Dataflow::SendEos() {
   for (Stage& stage : stages_) {
     if (stage.op != nullptr) stage.op->SendEos();
-    if (stage.agg != nullptr) stage.agg->SendEos();
   }
 }
 

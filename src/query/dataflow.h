@@ -144,15 +144,16 @@ class Dataflow {
   /// a large one drives at most num-upstream-joiner reshufflers; per-result
   /// spraying is future headroom (see ROADMAP).
   void Connect(int from, int to) { Connect(from, to, ConnectOptions()); }
-  /// Wires stage `from`'s joiner egress into stage `to`: round-robin over
-  /// `to`'s reshufflers when `to` is a join (which then treats each result
-  /// as a fresh `options.rel` input keyed by `options.key_col`), or
-  /// directly at the sink task. `from` must be a join stage created before
-  /// `to` (task-id order — the deadlock-freedom contract). An egress can
-  /// be connected once per upstream stage, and a join stage accepts at
-  /// most one inbound result edge (result envelopes carry no source-stage
-  /// id, so per-edge restamp options cannot coexist); sinks accept any
-  /// number.
+  /// Wires stage `from`'s egress into stage `to`: round-robin over `to`'s
+  /// entry tasks when `to` is an operator stage (a join treats each result
+  /// as a fresh `options.rel` input keyed by `options.key_col`; a group-by
+  /// keys it by its AggSpec), or directly at the sink task. `from` must be
+  /// an operator stage created before `to` (task-id order — the
+  /// deadlock-freedom contract), and a group-by's egress must end at a
+  /// sink. An egress can be connected once per upstream stage, and an
+  /// operator stage accepts at most one inbound result edge (result
+  /// envelopes carry no source-stage id, so per-edge restamp options
+  /// cannot coexist); sinks accept any number.
   void Connect(int from, int to, ConnectOptions options);
 
   /// The join facade of stage `handle` (must be an AddJoin stage).
@@ -203,11 +204,12 @@ class Dataflow {
   /// The shed controller attached to stage `handle` (must exist).
   ShedController& shedding(int handle);
 
-  /// Flushes staged input on every join stage (call before WaitQuiescent).
+  /// Flushes staged input on every operator stage (call before
+  /// WaitQuiescent).
   void FlushInput();
 
-  /// Signals end-of-stream to every join stage, in topological (creation)
-  /// order.
+  /// Signals end-of-stream to every operator stage, in topological
+  /// (creation) order.
   void SendEos();
 
   /// Number of stages created so far.
@@ -215,15 +217,16 @@ class Dataflow {
 
  private:
   struct Stage {
-    std::unique_ptr<JoinOperator> op;   // null for sink/agg stages
-    std::unique_ptr<AggOperator> agg;   // null for join/sink stages
+    std::unique_ptr<OperatorShell> op;  // join or group-by; null for sinks
+    JoinOperator* join = nullptr;       // typed view of op (join stages)
+    AggOperator* agg = nullptr;         // typed view of op (group-by stages)
     ResultSink* sink = nullptr;         // owned by the engine
     int sink_task = -1;
     MetricsRegistry* registry = nullptr;  // effective registry for the stage
     std::unique_ptr<AutoscaleController> autoscale;
     std::unique_ptr<ShedController> shed;
     bool connected_out = false;
-    bool connected_in = false;  // join stages: at most one result edge in
+    bool connected_in = false;  // operator stages: at most one result edge
   };
 
   Engine& engine_;

@@ -5,14 +5,13 @@
 
 namespace ajoin {
 
-SpillStore::SpillStore(size_t budget_bytes, const std::string& dir)
+SpillStore::SpillStore(size_t budget_bytes)
     : budget_bytes_(budget_bytes) {
   pages_.emplace_back();  // open page
 }
 
 SpillStore::~SpillStore() {
   if (file_ != nullptr) std::fclose(file_);
-  if (!path_.empty()) std::remove(path_.c_str());
 }
 
 uint64_t SpillStore::Append(const Row& row) {

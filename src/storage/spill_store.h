@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <list>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,8 +31,8 @@ struct SpillStats {
 class SpillStore {
  public:
   /// budget_bytes: resident page budget (0 = unbounded, never spills).
-  /// dir: directory for the spill file (must exist); "" = std::tmpfile.
-  explicit SpillStore(size_t budget_bytes = 0, const std::string& dir = "");
+  /// Spilled pages go to an anonymous std::tmpfile.
+  explicit SpillStore(size_t budget_bytes = 0);
   ~SpillStore();
 
   SpillStore(const SpillStore&) = delete;
@@ -94,7 +93,6 @@ class SpillStore {
 
   size_t budget_bytes_;
   std::FILE* file_ = nullptr;
-  std::string path_;  // empty when tmpfile
   std::vector<Page> pages_;
   std::vector<RowRef> index_;
   size_t logical_bytes_ = 0;

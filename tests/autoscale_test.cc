@@ -231,14 +231,8 @@ TEST(AutoscalePolicy, StalledIdleRateIsNotIdle) {
 
 /// Operator stub recording scale requests; everything else is unreachable
 /// in these tests.
-class FakeElasticOp : public Operator {
+class FakeElasticOp : public OperatorControl {
  public:
-  void Push(const StreamTuple&) override {}
-  void SetIngressBatch(uint32_t) override {}
-  void FlushInput() override {}
-  void Checkpoint() override {}
-  void SendEos() override {}
-  void RouteResultsTo(const std::vector<int>&) override {}
   bool GrowJoiners(uint32_t steps) override {
     grow_calls += steps;
     return accept;
@@ -247,16 +241,6 @@ class FakeElasticOp : public Operator {
     shrink_calls += steps;
     return accept;
   }
-  const JoinerCore& joiner(size_t) const override { std::abort(); }
-  size_t num_joiner_slots() const override { return 0; }
-  uint64_t pushed_total() const override { return 0; }
-  const ControllerCore* controller() const override { return nullptr; }
-  uint64_t TotalOutputs() const override { return 0; }
-  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const override {
-    return {};
-  }
-  uint64_t MaxInBytes() const override { return 0; }
-  uint64_t TotalStoredBytes() const override { return 0; }
 
   uint32_t grow_calls = 0;
   uint32_t shrink_calls = 0;

@@ -171,7 +171,9 @@ TEST(Workload, RFirstPolicy) {
   bool seen_s = false;
   while (source->Next(&t)) {
     if (t.rel == Rel::kS) seen_s = true;
-    if (seen_s) EXPECT_EQ(t.rel, Rel::kS) << "R after S in kRFirst order";
+    if (seen_s) {
+      EXPECT_EQ(t.rel, Rel::kS) << "R after S in kRFirst order";
+    }
   }
 }
 

@@ -161,28 +161,12 @@ TEST(ShedPolicy, BacklogTriggerSheds) {
 
 /// Operator stub recording shed-rate requests; everything else is
 /// unreachable in these tests.
-class FakeShedOp : public Operator {
+class FakeShedOp : public OperatorControl {
  public:
-  void Push(const StreamTuple&) override {}
-  void SetIngressBatch(uint32_t) override {}
-  void FlushInput() override {}
-  void Checkpoint() override {}
-  void SendEos() override {}
-  void RouteResultsTo(const std::vector<int>&) override {}
   bool SetShedRate(uint32_t rate_ppm) override {
     rates.push_back(rate_ppm);
     return accept;
   }
-  const JoinerCore& joiner(size_t) const override { std::abort(); }
-  size_t num_joiner_slots() const override { return 0; }
-  uint64_t pushed_total() const override { return 0; }
-  const ControllerCore* controller() const override { return nullptr; }
-  uint64_t TotalOutputs() const override { return 0; }
-  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const override {
-    return {};
-  }
-  uint64_t MaxInBytes() const override { return 0; }
-  uint64_t TotalStoredBytes() const override { return 0; }
 
   std::vector<uint32_t> rates;
   bool accept = true;

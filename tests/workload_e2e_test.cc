@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "src/core/operator.h"
 #include "src/datagen/workloads.h"
@@ -29,6 +30,14 @@ struct E2EParam {
   uint32_t machines;
   bool adaptive;
 };
+
+// gtest registers each case under a printout of its parameter; without this
+// overload that is a byte dump including the struct's uninitialized padding,
+// so the ctest name would change from build to build.
+void PrintTo(const E2EParam& p, std::ostream* os) {
+  *os << QueryName(p.query) << "_J" << p.machines
+      << (p.adaptive ? "_dyn" : "_static");
+}
 
 class WorkloadE2E : public ::testing::TestWithParam<E2EParam> {};
 

@@ -10,8 +10,11 @@
    documented where implementers see it.
 3. Every public method of the external API classes must carry a doc
    comment: IngressPort/Engine in src/runtime/task.h (post-Shutdown
-   rejection contract, per-port threading rules), Operator and the two
+   rejection contract, per-port threading rules), the OperatorShell
+   ingress/egress shell, OperatorControl, Operator and the two join
    facades in src/core/operator.h (egress routing / id-ordering contract),
+   EpochProtocol in src/core/epoch_protocol.h (the per-slot migration
+   state machine both operator families share),
    Dataflow/ResultSink in src/query/dataflow.h (stage wiring, restamping),
    AggOperator/ReferenceAggregator in src/core/agg.h, WeightedAccum in
    src/core/weighted.h and AggTable in src/index/agg_table.h (weight
@@ -80,7 +83,9 @@ def check_onbatch_doc_comments():
 # (header, classes) pairs whose public methods must carry doc comments.
 API_SURFACES = (
     ("src/runtime/task.h", ("IngressPort", "Engine")),
-    ("src/core/operator.h", ("Operator", "JoinOperator", "ShjOperator")),
+    ("src/core/operator.h", ("OperatorShell", "OperatorControl", "Operator",
+                             "JoinOperator", "ShjOperator")),
+    ("src/core/epoch_protocol.h", ("EpochProtocol",)),
     ("src/query/dataflow.h", ("Dataflow", "ResultSink")),
     ("src/core/agg.h", ("AggOperator", "ReferenceAggregator")),
     ("src/core/weighted.h", ("WeightedAccum",)),
