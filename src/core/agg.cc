@@ -119,7 +119,7 @@ void AggRouterCore::OnBatch(TupleBatch batch, Context& ctx) {
 }
 
 void AggRouterCore::Route(Envelope& msg, Context& ctx) {
-  if (msg.type == MsgType::kResult) ++results_restamped_;
+  if (msg.type == MsgType::kResult) ++metrics_.results_restamped;
   int64_t key = msg.key;
   if (config_.key_col >= 0) {
     AJOIN_CHECK(msg.has_row);
@@ -255,7 +255,7 @@ void AggRouterCore::MaybeFlush(Context& ctx) {
 
 void AggRouterCore::Publish() {
   if (config_.telemetry == nullptr) return;
-  config_.telemetry->PublishReshuffler(metrics_, results_restamped_);
+  config_.telemetry->Publish(metrics_);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,8 +325,8 @@ void AggWorkerCore::MergeTuple(const Envelope& msg, Context& ctx) {
     value = msg.row.Int64(static_cast<size_t>(config_.value_col));
   }
   table_.Upsert(msg.key)->Merge(msg.weight, value);
-  ++in_tuples_;
-  in_bytes_ += msg.bytes;
+  ++stats_.in_tuples;
+  stats_.in_bytes += msg.bytes;
   ++merged_since_emit_;
   if (config_.emit_every > 0 && config_.result_sink >= 0 && !migrating() &&
       merged_since_emit_ >= config_.emit_every) {
@@ -341,7 +341,7 @@ void AggWorkerCore::HandleMigrate(const Envelope& msg) {
   // worker's own signals (the sender's last signal can precede ours).
   AJOIN_CHECK(msg.has_row);
   table_.UpsertCell(msg.key, msg.tag)->acc.Absorb(AccumFromRow(msg.row, 0));
-  ++mig_in_cells_;
+  ++stats_.mig_in_cells;
 }
 
 uint32_t AggWorkerCore::BeginMigration(const EpochSpec& spec, Context& ctx) {
@@ -400,7 +400,7 @@ void AggWorkerCore::OnLastSignal(Context& ctx) {
       mu.has_row = true;
       mu.row.Reserve(5);
       AppendAccum(cell.acc, &mu.row);
-      ++mig_out_cells_;
+      ++stats_.mig_out_cells;
       if (run.size() >= kRunMax) {
         ctx.SendBatch(config_.worker_task_base + target, std::move(run));
         run.Clear();
@@ -438,21 +438,21 @@ void AggWorkerCore::FinalizeMigration(Context& ctx) {
   // ones), so the controller's next decision — and the final flush — wait
   // for the whole stage to reach lockstep.
   assign_ = new_assign_;
-  ++migrations_finalized_;
+  ++stats_.migrations_finalized;
 }
 
 void AggWorkerCore::Finish(Context& ctx) {
   // The controller only flushes when every router has drained and every
   // migration has acked, so a mid-repartition flush is a protocol bug.
   AJOIN_CHECK(!migrating());
-  AJOIN_CHECK(!flushed_);
+  AJOIN_CHECK(!stats_.flushed);
   EmitTable(ctx);
   if (config_.result_sink >= 0) {
     Envelope eos;
     eos.type = MsgType::kEos;
     ctx.Send(config_.result_sink, std::move(eos));
   }
-  flushed_ = true;
+  stats_.flushed = true;
 }
 
 void AggWorkerCore::EmitTable(Context& ctx) {
@@ -476,7 +476,7 @@ void AggWorkerCore::StageResult(const AggTable::Cell& cell, Context& ctx) {
   out.row.Reserve(6);  // [key, count, sum, min, max, tuples]
   out.row.Append(Value(cell.key));
   AppendAccum(cell.acc, &out.row);
-  ++emitted_;
+  ++stats_.emitted_results;
   if (egress_.size() >= kRunMax) FlushEgress(ctx);
 }
 
@@ -488,19 +488,11 @@ void AggWorkerCore::FlushEgress(Context& ctx) {
 
 void AggWorkerCore::Publish() {
   if (config_.telemetry == nullptr) return;
-  AggSnapshot s;
-  s.in_tuples = in_tuples_;
-  s.in_bytes = in_bytes_;
-  s.groups = table_.size();
-  s.table_bytes = table_.MemoryBytes();
-  s.mig_out_cells = mig_out_cells_;
-  s.mig_in_cells = mig_in_cells_;
-  s.migrations_finalized = migrations_finalized_;
-  s.emitted_results = emitted_;
-  s.epoch = epoch();
-  s.migrating = migrating();
-  s.flushed = flushed_;
-  config_.telemetry->PublishAgg(s);
+  stats_.groups = table_.size();
+  stats_.table_bytes = table_.MemoryBytes();
+  stats_.epoch = epoch();
+  stats_.migrating = migrating();
+  config_.telemetry->Publish(stats_);
 }
 
 // ---------------------------------------------------------------------------

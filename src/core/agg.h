@@ -187,7 +187,7 @@ class AggRouterCore : public Task {
   /// Routing counters (engine must be quiescent).
   const ReshufflerMetrics& metrics() const { return metrics_; }
   /// Upstream kResult envelopes re-ingested as stage input.
-  uint64_t results_restamped() const { return results_restamped_; }
+  uint64_t results_restamped() const { return metrics_.results_restamped; }
   /// Controller only: epoch changes decided so far.
   uint64_t rebalances() const { return rebalances_; }
 
@@ -208,7 +208,6 @@ class AggRouterCore : public Task {
   uint32_t eos_seen_ = 0;
   bool note_sent_ = false;
   ReshufflerMetrics metrics_;
-  uint64_t results_restamped_ = 0;
   // Controller state (meaningful on router 0 only).
   std::vector<uint64_t> part_loads_;  // routed tuples per partition
   uint64_t total_routed_ = 0;         // since the last reset
@@ -261,16 +260,16 @@ class AggWorkerCore : public Task, private EpochProtocol::StateMover {
   /// Mid-repartition right now?
   bool migrating() const { return protocol_.migrating(); }
   /// Final aggregates emitted (the stage's flush barrier completed)?
-  bool flushed() const { return flushed_; }
+  bool flushed() const { return stats_.flushed; }
   /// Repartitions finalized by this worker.
-  uint64_t migrations_finalized() const { return migrations_finalized_; }
+  uint64_t migrations_finalized() const { return stats_.migrations_finalized; }
   /// Accumulator cells shipped to / absorbed from peers.
-  uint64_t mig_out_cells() const { return mig_out_cells_; }
-  uint64_t mig_in_cells() const { return mig_in_cells_; }
+  uint64_t mig_out_cells() const { return stats_.mig_out_cells; }
+  uint64_t mig_in_cells() const { return stats_.mig_in_cells; }
   /// Data tuples merged (excludes migrated cells).
-  uint64_t in_tuples() const { return in_tuples_; }
+  uint64_t in_tuples() const { return stats_.in_tuples; }
   /// kResult aggregates emitted downstream.
-  uint64_t emitted_results() const { return emitted_; }
+  uint64_t emitted_results() const { return stats_.emitted_results; }
 
  private:
   void MergeTuple(const Envelope& msg, Context& ctx);
@@ -295,15 +294,11 @@ class AggWorkerCore : public Task, private EpochProtocol::StateMover {
   std::vector<uint32_t> assign_;      // partition -> worker, current epoch
   std::vector<uint32_t> new_assign_;  // target assignment while migrating
   uint32_t flushes_seen_ = 0;
-  bool flushed_ = false;
   TupleBatch egress_;
-  uint64_t in_tuples_ = 0;
-  uint64_t in_bytes_ = 0;
   uint64_t merged_since_emit_ = 0;
-  uint64_t mig_out_cells_ = 0;
-  uint64_t mig_in_cells_ = 0;
-  uint64_t migrations_finalized_ = 0;
-  uint64_t emitted_ = 0;
+  // The worker's telemetry record: counters and the flush flag are kept
+  // here; the gauges and protocol state are filled in by Publish().
+  AggSnapshot stats_;
 };
 
 /// Facade assembling the aggregation stage on an Engine: R router tasks

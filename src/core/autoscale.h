@@ -7,24 +7,21 @@
 // engine:
 //
 //  * AutoscalePolicy — a pure, deterministic state machine: feed it one
-//    AutoscaleSample per tick, get back kHold/kGrow/kShrink. Hysteresis
+//    StageSample per tick, get back kHold/kGrow/kShrink. Hysteresis
 //    (consecutive-tick streaks), cooldown after an action, and a hard hold
 //    while a migration is in flight all live here.
-//  * AutoscaleController — a sampler-style thread that builds samples from
-//    MetricsRegistry snapshots (filtered to one operator's joiner tasks)
-//    plus an optional exchange-plane stall source, runs the policy, and
+//  * AutoscaleController — runs on a PeriodicTicker: each tick a
+//    StageObserver builds the sample from MetricsRegistry snapshots
+//    (filtered to one operator's joiner tasks) plus an optional
+//    exchange-plane stall source, the policy decides, and the controller
 //    calls OperatorControl::GrowJoiners / ShrinkJoiners. It keeps a decision
 //    log for tests and telemetry.
 
 #pragma once
 
 #include <cstdint>
-#include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/exchange/exchange.h"
@@ -59,22 +56,6 @@ struct AutoscaleConfig {
   uint32_t cooldown_ticks = 5;
 };
 
-/// One observation of the operator, as the policy sees it.
-struct AutoscaleSample {
-  uint64_t t_us = 0;
-  /// Joiners currently inside the live grid (telemetry `active` flag).
-  uint32_t live_joiners = 0;
-  /// Any joiner mid-migration (the policy never acts while true).
-  bool migrating = false;
-  /// Fraction of the tick the exchange plane spent credit-stalled.
-  double stall_ratio = 0;
-  /// Input tuples/sec over the tick (joiner in_tuples delta).
-  double input_rate = 0;
-  /// Max stored tuples on any live joiner (memory-pressure signal for
-  /// logging; the built-in triggers use stall/rate).
-  uint64_t per_joiner_stored = 0;
-};
-
 /// Deterministic scaling decision engine (no engine, no clock, no threads —
 /// drive it with synthetic samples in unit tests).
 class AutoscalePolicy {
@@ -91,7 +72,7 @@ class AutoscalePolicy {
   /// reaches surge_ticks — bounds permitting; an idle tick symmetrically
   /// shrinks after idle_ticks; a neutral tick resets both streaks. Every
   /// action arms the cooldown.
-  Decision OnSample(const AutoscaleSample& s) {
+  Decision OnSample(const StageSample& s) {
     if (s.migrating) {
       surge_streak_ = idle_streak_ = 0;
       return Decision::kHold;
@@ -153,11 +134,13 @@ class AutoscaleController {
     uint64_t period_us = 2000;
   };
 
-  /// One policy action (or observed decision) for the log.
+  /// One policy action (or observed decision) for the log. `t_us` is the
+  /// tick time: SteadyNowMicros() on the ticker thread (the trace clock),
+  /// or the caller's logical time under TickNow.
   struct Action {
     uint64_t t_us = 0;
     AutoscalePolicy::Decision decision = AutoscalePolicy::Decision::kHold;
-    AutoscaleSample sample;  // what the policy saw
+    StageSample sample;      // what the policy saw
     bool accepted = false;   // operator took the request
   };
 
@@ -170,7 +153,6 @@ class AutoscaleController {
   /// Same, with default Options (2 ms tick).
   AutoscaleController(OperatorControl& op, const MetricsRegistry* registry,
                       std::vector<int> joiner_tasks, AutoscaleConfig config);
-  ~AutoscaleController();
 
   AutoscaleController(const AutoscaleController&) = delete;
   AutoscaleController& operator=(const AutoscaleController&) = delete;
@@ -200,32 +182,16 @@ class AutoscaleController {
   uint64_t shrinks() const;
 
  private:
-  void Loop();
-  AutoscaleSample BuildSample(uint64_t t_us);
-
   OperatorControl& op_;
-  const MetricsRegistry* registry_;
-  std::unordered_set<int> joiner_tasks_;
+  StageObserver observer_;
   AutoscalePolicy policy_;
-  const Options options_;
-  std::function<ExchangeStatsSnapshot()> exchange_source_;
-
-  // Deltas between ticks (policy-thread state).
-  uint64_t last_t_us_ = 0;
-  uint64_t last_in_tuples_ = 0;
-  uint64_t last_stall_ns_ = 0;
-  bool have_last_ = false;
 
   mutable std::mutex mu_;  // guards log_ / counters
   std::vector<Action> log_;
   uint64_t grows_ = 0;
   uint64_t shrinks_ = 0;
 
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
+  PeriodicTicker ticker_;  // last member: stopped before the rest goes
 };
 
 }  // namespace ajoin

@@ -54,7 +54,7 @@ void ReshufflerCore::RestampResult(Envelope& msg) {
   }
   msg.seq = kResultSeqBase + config_.index +
             static_cast<uint64_t>(config_.num_reshufflers) *
-                results_restamped_++;
+                metrics_.results_restamped++;
   msg.epoch = 0;
   msg.store = true;
 }
@@ -155,7 +155,7 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
   }
   // Publish live telemetry once per dispatch (counters above stay plain).
   if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishReshuffler(metrics_, results_restamped_);
+    config_.telemetry->Publish(metrics_);
   }
 }
 
@@ -184,7 +184,7 @@ void ReshufflerCore::OnBatch(TupleBatch batch, Context& ctx) {
   // One telemetry publish per batch (the fallback path above publishes per
   // envelope through OnMessage).
   if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishReshuffler(metrics_, results_restamped_);
+    config_.telemetry->Publish(metrics_);
   }
 }
 

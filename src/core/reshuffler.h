@@ -154,7 +154,6 @@ class ReshufflerCore : public Task {
   bool accept_results_ = false;
   Rel result_rel_ = Rel::kR;
   int result_key_col_ = -1;
-  uint64_t results_restamped_ = 0;
 
   // EOS gating: forward one kEos per allocated joiner only after every
   // expected marker (driver + wired cascade feeders) has arrived.

@@ -10,23 +10,20 @@
 // testable without an engine:
 //
 //  * ShedPolicy — a pure, deterministic state machine: feed it one
-//    ShedSample per tick, get back the admission rate (ppm) the operator
+//    StageSample per tick, get back the admission rate (ppm) the operator
 //    should run at. Hysteresis (consecutive-tick streaks), cooldown after a
 //    rate change, and multiplicative backoff/recovery all live here.
-//  * ShedController — a sampler-style thread that builds samples from
-//    MetricsRegistry snapshots plus optional exchange-plane and ingress-
-//    backlog sources, runs the policy, and calls
-//    OperatorControl::SetShedRate on every rate change. It keeps a decision
-//    log for tests and telemetry.
+//  * ShedController — runs on a PeriodicTicker: each tick a StageObserver
+//    builds the sample from MetricsRegistry snapshots plus optional
+//    exchange-plane and ingress-backlog sources, the policy decides, and
+//    the controller calls OperatorControl::SetShedRate on every rate
+//    change. It keeps a decision log for tests and telemetry.
 
 #pragma once
 
 #include <cstdint>
-#include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "src/exchange/exchange.h"
@@ -63,19 +60,6 @@ struct ShedConfig {
   uint32_t shed_factor = 2;
 };
 
-/// One observation of the operator, as the policy sees it.
-struct ShedSample {
-  uint64_t t_us = 0;
-  /// Fraction of the tick the exchange plane spent credit-stalled.
-  double stall_ratio = 0;
-  /// Instantaneous ingress backlog gauge (envelopes posted, not consumed).
-  uint64_t backlog = 0;
-  /// Input tuples/sec over the tick (joiner in_tuples delta).
-  double input_rate = 0;
-  /// Joiners currently inside the live grid (telemetry `active` flag).
-  uint32_t live_joiners = 0;
-};
-
 /// Deterministic admission-rate state machine (no engine, no clock, no
 /// threads — drive it with synthetic samples in unit tests).
 class ShedPolicy {
@@ -94,7 +78,7 @@ class ShedPolicy {
   /// both exit thresholds while shedding) symmetrically multiplies the rate
   /// back after recover_ticks; a neutral tick resets both streaks. Every
   /// rate change arms the cooldown.
-  uint32_t OnSample(const ShedSample& s) {
+  uint32_t OnSample(const StageSample& s) {
     if (cooldown_ > 0) {
       --cooldown_;
       overload_streak_ = recover_streak_ = 0;
@@ -162,12 +146,14 @@ class ShedController {
     uint64_t period_us = 2000;
   };
 
-  /// One applied rate change for the log.
+  /// One applied rate change for the log. `t_us` is the tick time:
+  /// SteadyNowMicros() on the ticker thread (the trace clock), or the
+  /// caller's logical time under TickNow.
   struct Action {
     uint64_t t_us = 0;
     uint32_t prev_rate_ppm = 0;
     uint32_t rate_ppm = 0;
-    ShedSample sample;      // what the policy saw
+    StageSample sample;     // what the policy saw
     bool accepted = false;  // operator took the request
   };
 
@@ -180,7 +166,6 @@ class ShedController {
   /// Same, with default Options (2 ms tick).
   ShedController(OperatorControl& op, const MetricsRegistry* registry,
                  std::vector<int> joiner_tasks, ShedConfig config);
-  ~ShedController();
 
   ShedController(const ShedController&) = delete;
   ShedController& operator=(const ShedController&) = delete;
@@ -216,33 +201,16 @@ class ShedController {
   uint64_t rate_changes() const;
 
  private:
-  void Loop();
-  ShedSample BuildSample(uint64_t t_us);
-
   OperatorControl& op_;
-  const MetricsRegistry* registry_;
-  std::unordered_set<int> joiner_tasks_;
+  StageObserver observer_;
   ShedPolicy policy_;
-  const Options options_;
-  std::function<ExchangeStatsSnapshot()> exchange_source_;
-  std::function<uint64_t()> backlog_source_;
-
-  // Deltas between ticks (policy-thread state).
-  uint64_t last_t_us_ = 0;
-  uint64_t last_in_tuples_ = 0;
-  uint64_t last_stall_ns_ = 0;
-  bool have_last_ = false;
 
   mutable std::mutex mu_;  // guards log_ / counters / published rate
   std::vector<Action> log_;
   uint64_t rate_changes_ = 0;
   uint32_t published_rate_ppm_ = static_cast<uint32_t>(kShedExactPpm);
 
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
+  PeriodicTicker ticker_;  // last member: stopped before the rest goes
 };
 
 }  // namespace ajoin

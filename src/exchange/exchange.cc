@@ -150,7 +150,7 @@ void ExchangePlane::PushBatch(Edge& edge, TupleBatch& batch, int consumer,
       }
     }
     AJOIN_MC_LEDGER_PUSH(&edge);
-    RaisePeak(edge.peak_occupancy,
+    RaisePeak(edge.ring_peak,
               static_cast<uint32_t>(edge.ring.SlotsUsed()));
     Doorbell(consumer);
     return;
@@ -161,7 +161,7 @@ void ExchangePlane::PushBatch(Edge& edge, TupleBatch& batch, int consumer,
   if (edge.ov_count.load(std::memory_order_relaxed) == 0 &&
       edge.ring.TryPush(batch)) {
     AJOIN_MC_LEDGER_PUSH(&edge);
-    RaisePeak(edge.peak_occupancy,
+    RaisePeak(edge.ring_peak,
               static_cast<uint32_t>(edge.ring.SlotsUsed()));
     Doorbell(consumer);
     return;
@@ -270,46 +270,33 @@ void ExchangePlane::Close() {
 }
 
 ExchangeStatsSnapshot ExchangePlane::stats() const {
-  ExchangeStatsSnapshot snap;
-  snap.envelopes = stats_.envelopes.load(std::memory_order_relaxed);
-  snap.batches = stats_.batches.load(std::memory_order_relaxed);
-  snap.size_flushes = stats_.size_flushes.load(std::memory_order_relaxed);
-  snap.deadline_flushes =
-      stats_.deadline_flushes.load(std::memory_order_relaxed);
-  snap.control_flushes = stats_.control_flushes.load(std::memory_order_relaxed);
-  snap.credit_waits = stats_.credit_waits.load(std::memory_order_relaxed);
-  snap.credit_wait_ns = stats_.credit_wait_ns.load(std::memory_order_relaxed);
-  snap.overflow_batches =
-      stats_.overflow_batches.load(std::memory_order_relaxed);
-  snap.avg_batch_fill =
-      snap.batches == 0
-          ? 0
-          : static_cast<double>(snap.envelopes) /
-                static_cast<double>(snap.batches);
-  return snap;
+  ExchangeStatsSnapshot out;
+  const Stats& twin = stats_;
+  AJOIN_EXCHANGE_FIELDS(AJOIN_TWIN_LOAD)
+  out.avg_batch_fill = out.batches == 0
+                           ? 0
+                           : static_cast<double>(out.envelopes) /
+                                 static_cast<double>(out.batches);
+  return out;
 }
 
 std::vector<EdgeStatsSnapshot> ExchangePlane::edge_stats() const {
-  std::vector<EdgeStatsSnapshot> out;
+  std::vector<EdgeStatsSnapshot> all;
   for (size_t i = 0; i < edge_matrix_.size(); ++i) {
     const Edge* edge = edge_matrix_[i].load(std::memory_order_acquire);
     if (edge == nullptr) continue;
-    EdgeStatsSnapshot s;
-    s.producer = static_cast<int>(i / num_tasks_);
-    s.consumer = static_cast<int>(i % num_tasks_);
-    s.bounded = edge->bounded;
-    s.batches = edge->batches.load(std::memory_order_relaxed);
-    s.envelopes = edge->envelopes.load(std::memory_order_relaxed);
-    s.credit_waits = edge->credit_waits.load(std::memory_order_relaxed);
-    s.credit_wait_ns = edge->credit_wait_ns.load(std::memory_order_relaxed);
-    s.overflow_batches = edge->overflow_batches.load(std::memory_order_relaxed);
-    s.ring_occupancy = static_cast<uint32_t>(edge->ring.SlotsUsed());
-    s.ring_peak = edge->peak_occupancy.load(std::memory_order_relaxed);
-    s.ring_capacity = static_cast<uint32_t>(edge->ring.capacity());
-    s.overflow_depth = edge->ov_count.load(std::memory_order_relaxed);
-    out.push_back(s);
+    EdgeStatsSnapshot out;
+    const Edge& twin = *edge;
+    AJOIN_EDGE_FIELDS(AJOIN_TWIN_LOAD)
+    out.producer = static_cast<int>(i / num_tasks_);
+    out.consumer = static_cast<int>(i % num_tasks_);
+    out.bounded = edge->bounded;
+    out.ring_occupancy = static_cast<uint32_t>(edge->ring.SlotsUsed());
+    out.ring_capacity = static_cast<uint32_t>(edge->ring.capacity());
+    out.overflow_depth = edge->ov_count.load(std::memory_order_relaxed);
+    all.push_back(out);
   }
-  return out;
+  return all;
 }
 
 ProducerStallStats ExchangePlane::producer_stalls(size_t producer) const {

@@ -39,6 +39,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/telemetry_fields.h"
 #include "src/common/trace_ring.h"
 #include "src/exchange/batch_ring.h"
 #include "src/net/message.h"
@@ -64,37 +65,6 @@ struct ExchangeConfig {
   /// (stall nanoseconds + producer id) for every credit-wait episode. Not
   /// owned; must outlive the plane.
   TraceRing* trace = nullptr;
-};
-
-/// Point-in-time counters (aggregated across all edges).
-struct ExchangeStatsSnapshot {
-  uint64_t envelopes = 0;
-  uint64_t batches = 0;
-  uint64_t size_flushes = 0;
-  uint64_t deadline_flushes = 0;
-  uint64_t control_flushes = 0;  // data batches cut by a control message
-  uint64_t credit_waits = 0;     // bounded pushes that found the ring full
-  uint64_t credit_wait_ns = 0;   // cumulative time producers spent stalled
-  uint64_t overflow_batches = 0; // batches routed via an overflow lane
-  double avg_batch_fill = 0;     // envelopes / batches
-};
-
-/// Point-in-time counters for one producer→consumer edge. Counters are
-/// cumulative; ring_occupancy / overflow_depth are instantaneous gauges
-/// (racy estimates — the edge keeps moving while they are read).
-struct EdgeStatsSnapshot {
-  int producer = -1;
-  int consumer = -1;
-  bool bounded = false;
-  uint64_t batches = 0;
-  uint64_t envelopes = 0;
-  uint64_t credit_waits = 0;    // bounded pushes that found the ring full
-  uint64_t credit_wait_ns = 0;  // cumulative producer stall time on this edge
-  uint64_t overflow_batches = 0;
-  uint32_t ring_occupancy = 0;  // batches in the ring right now
-  uint32_t ring_peak = 0;       // high-water ring occupancy
-  uint32_t ring_capacity = 0;
-  size_t overflow_depth = 0;    // batches in the overflow lane right now
 };
 
 /// Credit-stall counters rolled up across one producer's outgoing edges.
@@ -275,14 +245,10 @@ class ExchangePlane {
     std::mutex credit_mu;
     std::condition_variable credit_cv;
 
-    // Per-edge telemetry. Bumped only by this edge's producer (relaxed
-    // RMWs on an owned line); read by any thread via edge_stats().
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> envelopes{0};
-    std::atomic<uint64_t> credit_waits{0};
-    std::atomic<uint64_t> credit_wait_ns{0};
-    std::atomic<uint64_t> overflow_batches{0};
-    std::atomic<uint32_t> peak_occupancy{0};
+    // Per-edge telemetry: the atomic twin of EdgeStatsSnapshot's counters.
+    // Bumped only by this edge's producer (relaxed RMWs on an owned line);
+    // read by any thread via edge_stats().
+    AJOIN_EDGE_FIELDS(AJOIN_TWIN_ATOMIC)
   };
 
   struct Inbox {
@@ -298,15 +264,9 @@ class ExchangePlane {
     std::condition_variable sleep_cv;
   };
 
+  // Atomic twin of ExchangeStatsSnapshot (avg_batch_fill is derived).
   struct Stats {
-    std::atomic<uint64_t> envelopes{0};
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> size_flushes{0};
-    std::atomic<uint64_t> deadline_flushes{0};
-    std::atomic<uint64_t> control_flushes{0};
-    std::atomic<uint64_t> credit_waits{0};
-    std::atomic<uint64_t> credit_wait_ns{0};
-    std::atomic<uint64_t> overflow_batches{0};
+    AJOIN_EXCHANGE_FIELDS(AJOIN_TWIN_ATOMIC)
   };
 
   Edge* GetEdge(size_t producer, int consumer);

@@ -1,6 +1,7 @@
 #include "src/query/dataflow.h"
 
 #include <algorithm>
+#include <string>
 
 #include "src/common/status.h"
 
@@ -100,39 +101,47 @@ void Dataflow::Connect(int from, int to, ConnectOptions options) {
   dst.op->AddResultFeeders(src.op->emitter_ids().size());
 }
 
-JoinOperator& Dataflow::join(int handle) {
+const Dataflow::Stage& Dataflow::StageAt(int handle, const char* what) const {
   AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "join(): unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
+                  (std::string(what) + ": unknown stage").c_str());
+  return stages_[static_cast<size_t>(handle)];
+}
+
+Dataflow::Stage& Dataflow::ControllableJoin(int handle, const char* what) {
+  // StageAt is const only so the const accessors can share it; stages_
+  // itself is ours to mutate.
+  Stage& stage = const_cast<Stage&>(StageAt(handle, what));
+  AJOIN_CHECK_MSG(stage.join != nullptr,
+                  (std::string(what) + ": not a join stage").c_str());
+  AJOIN_CHECK_MSG(stage.registry != nullptr,
+                  (std::string(what) +
+                   ": stage has no telemetry registry (call SetTelemetry "
+                   "before AddJoin)")
+                      .c_str());
+  return stage;
+}
+
+JoinOperator& Dataflow::join(int handle) {
+  const Stage& stage = StageAt(handle, "join()");
   AJOIN_CHECK_MSG(stage.join != nullptr, "join(): not a join stage");
   return *stage.join;
 }
 
 AggOperator& Dataflow::groupby(int handle) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "groupby(): unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
+  const Stage& stage = StageAt(handle, "groupby()");
   AJOIN_CHECK_MSG(stage.agg != nullptr, "groupby(): not a group-by stage");
   return *stage.agg;
 }
 
 const ResultSink& Dataflow::sink(int handle) const {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "sink(): unknown stage");
-  const Stage& stage = stages_[static_cast<size_t>(handle)];
+  const Stage& stage = StageAt(handle, "sink()");
   AJOIN_CHECK_MSG(stage.sink != nullptr, "sink(): not a sink stage");
   return *stage.sink;
 }
 
 AutoscaleController& Dataflow::SetAutoscale(
     int handle, AutoscaleConfig config, AutoscaleController::Options options) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "SetAutoscale: unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.join != nullptr, "SetAutoscale: not a join stage");
-  AJOIN_CHECK_MSG(stage.registry != nullptr,
-                  "SetAutoscale: stage has no telemetry registry (call "
-                  "SetTelemetry before AddJoin)");
+  Stage& stage = ControllableJoin(handle, "SetAutoscale");
   AJOIN_CHECK_MSG(stage.autoscale == nullptr,
                   "SetAutoscale: stage already has a controller");
   stage.autoscale = std::make_unique<AutoscaleController>(
@@ -154,9 +163,7 @@ void Dataflow::StopAutoscale() {
 }
 
 AutoscaleController& Dataflow::autoscale(int handle) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "autoscale(): unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
+  const Stage& stage = StageAt(handle, "autoscale()");
   AJOIN_CHECK_MSG(stage.autoscale != nullptr,
                   "autoscale(): stage has no controller");
   return *stage.autoscale;
@@ -164,13 +171,7 @@ AutoscaleController& Dataflow::autoscale(int handle) {
 
 ShedController& Dataflow::SetShedding(int handle, ShedConfig config,
                                       ShedController::Options options) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "SetShedding: unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.join != nullptr, "SetShedding: not a join stage");
-  AJOIN_CHECK_MSG(stage.registry != nullptr,
-                  "SetShedding: stage has no telemetry registry (call "
-                  "SetTelemetry before AddJoin)");
+  Stage& stage = ControllableJoin(handle, "SetShedding");
   AJOIN_CHECK_MSG(stage.shed == nullptr,
                   "SetShedding: stage already has a shed controller");
   stage.shed = std::make_unique<ShedController>(
@@ -192,9 +193,7 @@ void Dataflow::StopShedding() {
 }
 
 ShedController& Dataflow::shedding(int handle) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "shedding(): unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
+  const Stage& stage = StageAt(handle, "shedding()");
   AJOIN_CHECK_MSG(stage.shed != nullptr,
                   "shedding(): stage has no shed controller");
   return *stage.shed;

@@ -229,6 +229,13 @@ class Dataflow {
     bool connected_in = false;  // operator stages: at most one result edge
   };
 
+  /// The stage behind `handle`; dies with "<what>: unknown stage" if out of
+  /// range.
+  const Stage& StageAt(int handle, const char* what) const;
+  /// StageAt, further requiring a join stage with a telemetry registry (the
+  /// preconditions of SetAutoscale / SetShedding).
+  Stage& ControllableJoin(int handle, const char* what);
+
   Engine& engine_;
   MetricsRegistry* registry_ = nullptr;  // stamped into AddJoin configs
   TraceRing* trace_ = nullptr;

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "src/common/histogram.h"
+#include "src/common/telemetry_fields.h"
 
 namespace ajoin {
 
@@ -55,12 +56,8 @@ struct JoinerMetrics {
   }
 };
 
-/// Counters maintained by a reshuffler task.
-struct ReshufflerMetrics {
-  uint64_t routed_tuples = 0;
-  uint64_t sent_msgs = 0;
-  uint64_t sent_bytes = 0;
-  uint64_t epoch_changes = 0;
-};
+/// Counters maintained by a reshuffler task: its telemetry record itself
+/// (AJOIN_RESHUFFLER_FIELDS), published as is.
+using ReshufflerMetrics = ReshufflerSnapshot;
 
 }  // namespace ajoin

@@ -1,5 +1,6 @@
 #include "src/runtime/metrics_registry.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -8,9 +9,104 @@
 
 namespace ajoin {
 
+PeriodicTicker::PeriodicTicker(uint64_t period_us,
+                               std::function<void(uint64_t)> tick)
+    : period_us_(period_us), tick_(std::move(tick)) {}
+
+PeriodicTicker::~PeriodicTicker() { Stop(); }
+
+void PeriodicTicker::Start() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (running_) return;
+  stop_ = false;
+  running_ = true;
+  thread_ = std::thread([this] { Loop(); });
+}
+
+void PeriodicTicker::Stop() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!running_) return;
+    stop_ = true;
+    running_ = false;
+  }
+  cv_.notify_all();
+  thread_.join();
+}
+
+bool PeriodicTicker::running() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return running_;
+}
+
+void PeriodicTicker::Loop() {
+  const auto period = std::chrono::microseconds(period_us_);
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    // ajoin-lint: timed-park — tick cadence; wakes every period even if
+    // the stop notify is lost.
+    if (cv_.wait_for(lock, period, [this] { return stop_; })) return;
+    lock.unlock();
+    tick_(SteadyNowMicros());
+    lock.lock();
+  }
+}
+
+StageObserver::StageObserver(const MetricsRegistry* registry,
+                             std::vector<int> joiner_tasks)
+    : registry_(registry),
+      joiner_tasks_(joiner_tasks.begin(), joiner_tasks.end()) {}
+
+void StageObserver::SetExchangeSource(
+    std::function<ExchangeStatsSnapshot()> source) {
+  exchange_source_ = std::move(source);
+}
+
+void StageObserver::SetBacklogSource(std::function<uint64_t()> source) {
+  backlog_source_ = std::move(source);
+}
+
+StageSample StageObserver::Sample(uint64_t t_us) {
+  StageSample s;
+  s.t_us = t_us;
+  uint64_t in_tuples = 0;
+  for (const TaskSnapshot& task : registry_->Snapshot()) {
+    if (task.kind != TaskKind::kJoiner ||
+        joiner_tasks_.count(task.task) == 0) {
+      continue;
+    }
+    const JoinerSnapshot& j = task.joiner;
+    in_tuples += j.in_tuples;
+    if (j.migrating) s.migrating = true;
+    if (j.active) {
+      ++s.live_joiners;
+      s.per_joiner_stored = std::max(s.per_joiner_stored, j.stored_tuples);
+    }
+  }
+  if (backlog_source_) s.backlog = backlog_source_();
+  uint64_t stall_ns = last_stall_ns_;
+  if (exchange_source_) stall_ns = exchange_source_().credit_wait_ns;
+  if (have_last_ && t_us > last_t_us_) {
+    const double dt_s = static_cast<double>(t_us - last_t_us_) / 1e6;
+    s.input_rate = static_cast<double>(in_tuples - last_in_tuples_) / dt_s;
+    // Plane-wide stall time normalized by wall time; can exceed 1 when
+    // several producers stall concurrently, which still reads as "severely
+    // backpressured" to the policies.
+    s.stall_ratio = static_cast<double>(stall_ns - last_stall_ns_) /
+                    (static_cast<double>(t_us - last_t_us_) * 1e3);
+  }
+  last_t_us_ = t_us;
+  last_in_tuples_ = in_tuples;
+  last_stall_ns_ = stall_ns;
+  have_last_ = true;
+  return s;
+}
+
 TelemetrySampler::TelemetrySampler(const MetricsRegistry* registry,
                                    Options options)
-    : registry_(registry), options_(options) {}
+    : registry_(registry),
+      options_(options),
+      ticker_(options.period_us, [this](uint64_t t_us) { SampleNow(t_us); }) {}
 
 TelemetrySampler::TelemetrySampler(const MetricsRegistry* registry)
     : TelemetrySampler(registry, Options()) {}
@@ -47,36 +143,15 @@ TelemetrySample TelemetrySampler::SampleNow(uint64_t t_us) {
 }
 
 void TelemetrySampler::Start() {
-  if (running_) return;
-  stop_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
+  if (ticker_.running()) return;
+  SampleNow(SteadyNowMicros());  // first sample: series starts at Start
+  ticker_.Start();
 }
 
 void TelemetrySampler::Stop() {
-  if (!running_) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stop_ = true;
-  }
-  stop_cv_.notify_all();
-  thread_.join();
-  running_ = false;
-}
-
-void TelemetrySampler::Loop() {
-  const auto period = std::chrono::microseconds(options_.period_us);
-  for (;;) {
-    SampleNow(SteadyNowMicros());
-    std::unique_lock<std::mutex> lock(stop_mu_);
-    // ajoin-lint: timed-park — sampler cadence; wakes every period even if
-    // the stop notify is lost.
-    if (stop_cv_.wait_for(lock, period, [this] { return stop_; })) {
-      lock.unlock();
-      SampleNow(SteadyNowMicros());  // final sample: series ends fresh
-      return;
-    }
-  }
+  if (!ticker_.running()) return;
+  ticker_.Stop();
+  SampleNow(SteadyNowMicros());  // final sample: series ends fresh
 }
 
 std::vector<TelemetrySample> TelemetrySampler::series() const {
@@ -164,77 +239,32 @@ void AppendKv(std::string* out, const char* key, const char* value,
   out->append("\"");
 }
 
+// Narrower integers, bools and ints export as unsigned integers.
+template <typename T>
+void AppendKv(std::string* out, const char* key, T value, bool* first) {
+  AppendKv(out, key, static_cast<uint64_t>(value), first);
+}
+
+// Appends every field of a telemetry record, keyed by its table name.
+template <typename Record>
+void AppendFields(std::string* out, const Record& record, bool* first) {
+  Record::ForEachField(record, [out, first](const char* key, auto value) {
+    AppendKv(out, key, value, first);
+  });
+}
+
 void AppendTask(std::string* out, const TaskSnapshot& task) {
   bool first = true;
   out->append("{");
   AppendKv(out, "task", static_cast<uint64_t>(task.task), &first);
   AppendKv(out, "kind", TaskKindName(task.kind), &first);
   if (task.kind == TaskKind::kJoiner) {
-    const JoinerSnapshot& j = task.joiner;
-    AppendKv(out, "in_tuples", j.in_tuples, &first);
-    AppendKv(out, "in_bytes", j.in_bytes, &first);
-    AppendKv(out, "probe_candidates", j.probe_candidates, &first);
-    AppendKv(out, "output_tuples", j.output_tuples, &first);
-    AppendKv(out, "mig_out_tuples", j.mig_out_tuples, &first);
-    AppendKv(out, "mig_in_tuples", j.mig_in_tuples, &first);
-    AppendKv(out, "discarded_tuples", j.discarded_tuples, &first);
-    AppendKv(out, "migrations_finalized", j.migrations_finalized, &first);
-    AppendKv(out, "stored_tuples", j.stored_tuples, &first);
-    AppendKv(out, "stored_bytes", j.stored_bytes, &first);
-    AppendKv(out, "peak_stored_bytes", j.peak_stored_bytes, &first);
-    AppendKv(out, "latency_count", j.latency_count, &first);
-    AppendKv(out, "latency_sum_us", j.latency_sum_us, &first);
-    AppendKv(out, "epoch", static_cast<uint64_t>(j.epoch), &first);
-    AppendKv(out, "migrating", static_cast<uint64_t>(j.migrating ? 1 : 0),
-             &first);
-    AppendKv(out, "active", static_cast<uint64_t>(j.active ? 1 : 0), &first);
-    AppendKv(out, "shed_probes_skipped", j.shed_probes_skipped, &first);
-    AppendKv(out, "shed_rate_ppm", static_cast<uint64_t>(j.shed_rate_ppm),
-             &first);
+    AppendFields(out, task.joiner, &first);
   } else if (task.kind == TaskKind::kAgg) {
-    const AggSnapshot& a = task.agg;
-    AppendKv(out, "in_tuples", a.in_tuples, &first);
-    AppendKv(out, "in_bytes", a.in_bytes, &first);
-    AppendKv(out, "groups", a.groups, &first);
-    AppendKv(out, "table_bytes", a.table_bytes, &first);
-    AppendKv(out, "mig_out_cells", a.mig_out_cells, &first);
-    AppendKv(out, "mig_in_cells", a.mig_in_cells, &first);
-    AppendKv(out, "migrations_finalized", a.migrations_finalized, &first);
-    AppendKv(out, "emitted_results", a.emitted_results, &first);
-    AppendKv(out, "epoch", static_cast<uint64_t>(a.epoch), &first);
-    AppendKv(out, "migrating", static_cast<uint64_t>(a.migrating ? 1 : 0),
-             &first);
-    AppendKv(out, "flushed", static_cast<uint64_t>(a.flushed ? 1 : 0), &first);
+    AppendFields(out, task.agg, &first);
   } else {
-    const ReshufflerSnapshot& r = task.reshuffler;
-    AppendKv(out, "routed_tuples", r.routed_tuples, &first);
-    AppendKv(out, "sent_msgs", r.sent_msgs, &first);
-    AppendKv(out, "sent_bytes", r.sent_bytes, &first);
-    AppendKv(out, "epoch_changes", r.epoch_changes, &first);
-    AppendKv(out, "results_restamped", r.results_restamped, &first);
+    AppendFields(out, task.reshuffler, &first);
   }
-  out->append("}");
-}
-
-void AppendEdge(std::string* out, const EdgeStatsSnapshot& edge) {
-  bool first = true;
-  out->append("{");
-  AppendKv(out, "producer", static_cast<uint64_t>(edge.producer), &first);
-  AppendKv(out, "consumer", static_cast<uint64_t>(edge.consumer), &first);
-  AppendKv(out, "bounded", static_cast<uint64_t>(edge.bounded ? 1 : 0),
-           &first);
-  AppendKv(out, "batches", edge.batches, &first);
-  AppendKv(out, "envelopes", edge.envelopes, &first);
-  AppendKv(out, "credit_waits", edge.credit_waits, &first);
-  AppendKv(out, "credit_wait_ns", edge.credit_wait_ns, &first);
-  AppendKv(out, "overflow_batches", edge.overflow_batches, &first);
-  AppendKv(out, "ring_occupancy", static_cast<uint64_t>(edge.ring_occupancy),
-           &first);
-  AppendKv(out, "ring_peak", static_cast<uint64_t>(edge.ring_peak), &first);
-  AppendKv(out, "ring_capacity", static_cast<uint64_t>(edge.ring_capacity),
-           &first);
-  AppendKv(out, "overflow_depth", static_cast<uint64_t>(edge.overflow_depth),
-           &first);
   out->append("}");
 }
 
@@ -244,11 +274,7 @@ void AppendSample(std::string* out, const TelemetrySample& sample) {
   AppendKv(out, "t_us", sample.t_us, &first);
   out->append(", \"exchange\": {");
   bool xfirst = true;
-  AppendKv(out, "envelopes", sample.exchange.envelopes, &xfirst);
-  AppendKv(out, "batches", sample.exchange.batches, &xfirst);
-  AppendKv(out, "credit_waits", sample.exchange.credit_waits, &xfirst);
-  AppendKv(out, "credit_wait_ns", sample.exchange.credit_wait_ns, &xfirst);
-  AppendKv(out, "overflow_batches", sample.exchange.overflow_batches, &xfirst);
+  AppendFields(out, sample.exchange, &xfirst);
   out->append("}, \"tasks\": [");
   for (size_t i = 0; i < sample.tasks.size(); ++i) {
     if (i != 0) out->append(", ");
@@ -257,7 +283,10 @@ void AppendSample(std::string* out, const TelemetrySample& sample) {
   out->append("], \"edges\": [");
   for (size_t i = 0; i < sample.edges.size(); ++i) {
     if (i != 0) out->append(", ");
-    AppendEdge(out, sample.edges[i]);
+    bool efirst = true;
+    out->append("{");
+    AppendFields(out, sample.edges[i], &efirst);
+    out->append("}");
   }
   out->append("]}");
 }

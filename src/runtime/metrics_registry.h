@@ -1,5 +1,5 @@
 // The live telemetry plane (paper §4: the controller only works because it
-// can *observe* the operator). Three pieces:
+// can *observe* the operator). Four pieces:
 //
 //  * SeqlockCell / TaskTelemetry — a per-task snapshot cell. The owning task
 //    keeps bumping its plain JoinerMetrics/ReshufflerMetrics counters as
@@ -14,7 +14,11 @@
 //    time series, on its own thread under the threaded engine or via
 //    explicit SampleNow calls from the sim driver's drain intervals.
 //    Exports one-line human summaries and stable-schema JSON
-//    (schema_version 1, validated by tools/validate_telemetry.py).
+//    (schema_version 1, validated by tools/validate_telemetry.py). The
+//    records and their JSON keys come from src/common/telemetry_fields.h.
+//  * PeriodicTicker / StageObserver — the one periodic thread (shared by
+//    the sampler and both stage controllers) and the one stage-sample
+//    builder (shared by the autoscale and shed controllers).
 //
 // Seqlock protocol (TSan-clean): the payload is an array of atomic words so
 // the sanitizer sees every access; the relaxed/fence dance below gives the
@@ -34,9 +38,12 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <unordered_set>
 #include <vector>
 
 #include "src/check/sched.h"
+#include "src/common/telemetry_fields.h"
 #include "src/common/trace_ring.h"
 #include "src/exchange/exchange.h"
 #include "src/runtime/metrics.h"
@@ -94,57 +101,6 @@ inline const char* TaskKindName(TaskKind kind) {
   return "?";
 }
 
-/// Consistent copy of one joiner's counters plus its protocol state.
-struct JoinerSnapshot {
-  uint64_t in_tuples = 0;
-  uint64_t in_bytes = 0;
-  uint64_t probe_candidates = 0;
-  uint64_t output_tuples = 0;
-  uint64_t mig_out_tuples = 0;
-  uint64_t mig_out_bytes = 0;
-  uint64_t mig_in_tuples = 0;
-  uint64_t mig_in_bytes = 0;
-  uint64_t discarded_tuples = 0;
-  uint64_t migrations_finalized = 0;
-  uint64_t stored_tuples = 0;
-  uint64_t stored_bytes = 0;
-  uint64_t peak_stored_bytes = 0;
-  uint64_t latency_count = 0;    // emitted-result latency samples
-  double latency_sum_us = 0;     // sum of those samples (mean = sum/count)
-  uint64_t shed_probes_skipped = 0;  // probes skipped by load shedding
-  uint32_t shed_rate_ppm = 1000000;  // admitted probe fraction (ppm; 1e6 =
-                                     // exact, anything lower = shedding)
-  uint32_t epoch = 0;            // partitioning epoch the joiner is in
-  bool migrating = false;        // mid-migration right now?
-  bool active = false;           // inside the group's live grid (elastic
-                                 // scaling tombstones retirees in place)
-};
-
-/// Consistent copy of one reshuffler's counters.
-struct ReshufflerSnapshot {
-  uint64_t routed_tuples = 0;
-  uint64_t sent_msgs = 0;
-  uint64_t sent_bytes = 0;
-  uint64_t epoch_changes = 0;
-  uint64_t results_restamped = 0;
-};
-
-/// Consistent copy of one agg worker's accumulator-table counters plus its
-/// protocol state (kAgg entries).
-struct AggSnapshot {
-  uint64_t in_tuples = 0;     // data tuples merged (excludes migrated cells)
-  uint64_t in_bytes = 0;      // accounted bytes of those tuples
-  uint64_t groups = 0;        // distinct group keys resident right now
-  uint64_t table_bytes = 0;   // accumulator-table footprint (MemoryBytes)
-  uint64_t mig_out_cells = 0;  // accumulator cells shipped to other workers
-  uint64_t mig_in_cells = 0;   // accumulator cells absorbed from others
-  uint64_t migrations_finalized = 0;
-  uint64_t emitted_results = 0;  // kResult aggregates emitted downstream
-  uint32_t epoch = 0;         // assignment epoch the worker is in
-  bool migrating = false;     // mid-repartition right now?
-  bool flushed = false;       // final aggregates emitted (stage drained)
-};
-
 /// One task's entry in a registry snapshot. Exactly one of joiner /
 /// reshuffler is meaningful, selected by `kind`.
 struct TaskSnapshot {
@@ -159,9 +115,33 @@ struct TaskSnapshot {
 /// message/batch; any thread reads via the registry.
 class TaskTelemetry {
  public:
-  /// Payload width in words (shared by both task kinds; the wider joiner
-  /// layout sets the size).
+  /// Payload width in words; every snapshot record must fit.
   static constexpr size_t kWords = 20;
+
+  /// Publishes any snapshot record (JoinerSnapshot, ReshufflerSnapshot,
+  /// AggSnapshot) by copying its bytes through the seqlock cell. Call from
+  /// the owning task's thread only (or before that thread starts).
+  template <typename S>
+  void Publish(const S& snapshot) {
+    static_assert(std::is_trivially_copyable<S>::value,
+                  "telemetry snapshots are copied as bytes");
+    static_assert(sizeof(S) <= sizeof(uint64_t) * kWords,
+                  "snapshot does not fit the telemetry cell");
+    uint64_t w[kWords] = {};
+    std::memcpy(w, &snapshot, sizeof(S));
+    cell_.Publish(w);
+  }
+
+  /// Reads the cell as snapshot record S (meaningful only for the record
+  /// the task publishes). Callable from any thread.
+  template <typename S>
+  S Read() const {
+    uint64_t w[kWords];
+    cell_.Read(w);
+    S snapshot;
+    std::memcpy(&snapshot, w, sizeof(S));
+    return snapshot;
+  }
 
   /// Publishes a joiner's counters plus epoch / migration / participation /
   /// shedding state. `active` is whether the joiner is inside its group's
@@ -171,127 +151,28 @@ class TaskTelemetry {
   /// (1e6 = exact probing). Call from the owning task's thread only.
   void PublishJoiner(const JoinerMetrics& m, uint32_t epoch, bool migrating,
                      bool active, uint32_t shed_rate_ppm = 1000000) {
-    uint64_t w[kWords];
-    w[0] = m.in_tuples;
-    w[1] = m.in_bytes;
-    w[2] = m.probe_candidates;
-    w[3] = m.output_tuples;
-    w[4] = m.mig_out_tuples;
-    w[5] = m.mig_out_bytes;
-    w[6] = m.mig_in_tuples;
-    w[7] = m.mig_in_bytes;
-    w[8] = m.discarded_tuples;
-    w[9] = m.migrations_finalized;
-    w[10] = m.stored_tuples;
-    w[11] = m.stored_bytes;
-    w[12] = m.peak_stored_bytes;
-    w[13] = m.latency_us.count();
-    const double sum = m.latency_us.sum();
-    std::memcpy(&w[14], &sum, sizeof(sum));
-    w[15] = epoch;
-    w[16] = migrating ? 1 : 0;
-    w[17] = active ? 1 : 0;
-    w[18] = m.shed_probes_skipped;
-    w[19] = shed_rate_ppm;
-    cell_.Publish(w);
-  }
-
-  /// Publishes a reshuffler's counters. Call from the owning task's thread
-  /// only.
-  void PublishReshuffler(const ReshufflerMetrics& m,
-                         uint64_t results_restamped) {
-    uint64_t w[kWords] = {};
-    w[0] = m.routed_tuples;
-    w[1] = m.sent_msgs;
-    w[2] = m.sent_bytes;
-    w[3] = m.epoch_changes;
-    w[4] = results_restamped;
-    cell_.Publish(w);
-  }
-
-  /// Decodes the cell as a joiner snapshot (meaningful only for kJoiner
-  /// entries). Callable from any thread.
-  JoinerSnapshot ReadJoiner() const {
-    uint64_t w[kWords];
-    cell_.Read(w);
     JoinerSnapshot s;
-    s.in_tuples = w[0];
-    s.in_bytes = w[1];
-    s.probe_candidates = w[2];
-    s.output_tuples = w[3];
-    s.mig_out_tuples = w[4];
-    s.mig_out_bytes = w[5];
-    s.mig_in_tuples = w[6];
-    s.mig_in_bytes = w[7];
-    s.discarded_tuples = w[8];
-    s.migrations_finalized = w[9];
-    s.stored_tuples = w[10];
-    s.stored_bytes = w[11];
-    s.peak_stored_bytes = w[12];
-    s.latency_count = w[13];
-    std::memcpy(&s.latency_sum_us, &w[14], sizeof(s.latency_sum_us));
-    s.epoch = static_cast<uint32_t>(w[15]);
-    s.migrating = w[16] != 0;
-    s.active = w[17] != 0;
-    s.shed_probes_skipped = w[18];
-    // A never-published cell reads all-zero words; rate 0 is unreachable
-    // (admission probabilities are clamped positive so HT weights stay
-    // finite), so decode it as "exact" instead of "shedding everything".
-    s.shed_rate_ppm =
-        w[19] == 0 ? 1000000u : static_cast<uint32_t>(w[19]);
-    return s;
-  }
-
-  /// Publishes an agg worker's accumulator counters plus epoch / migration /
-  /// flush state. Call from the owning task's thread only.
-  void PublishAgg(const AggSnapshot& s) {
-    uint64_t w[kWords] = {};
-    w[0] = s.in_tuples;
-    w[1] = s.in_bytes;
-    w[2] = s.groups;
-    w[3] = s.table_bytes;
-    w[4] = s.mig_out_cells;
-    w[5] = s.mig_in_cells;
-    w[6] = s.migrations_finalized;
-    w[7] = s.emitted_results;
-    w[8] = s.epoch;
-    w[9] = s.migrating ? 1 : 0;
-    w[10] = s.flushed ? 1 : 0;
-    cell_.Publish(w);
-  }
-
-  /// Decodes the cell as an agg worker snapshot (meaningful only for kAgg
-  /// entries). Callable from any thread.
-  AggSnapshot ReadAgg() const {
-    uint64_t w[kWords];
-    cell_.Read(w);
-    AggSnapshot s;
-    s.in_tuples = w[0];
-    s.in_bytes = w[1];
-    s.groups = w[2];
-    s.table_bytes = w[3];
-    s.mig_out_cells = w[4];
-    s.mig_in_cells = w[5];
-    s.migrations_finalized = w[6];
-    s.emitted_results = w[7];
-    s.epoch = static_cast<uint32_t>(w[8]);
-    s.migrating = w[9] != 0;
-    s.flushed = w[10] != 0;
-    return s;
-  }
-
-  /// Decodes the cell as a reshuffler snapshot (meaningful only for
-  /// kReshuffler entries). Callable from any thread.
-  ReshufflerSnapshot ReadReshuffler() const {
-    uint64_t w[kWords];
-    cell_.Read(w);
-    ReshufflerSnapshot s;
-    s.routed_tuples = w[0];
-    s.sent_msgs = w[1];
-    s.sent_bytes = w[2];
-    s.epoch_changes = w[3];
-    s.results_restamped = w[4];
-    return s;
+    s.in_tuples = m.in_tuples;
+    s.in_bytes = m.in_bytes;
+    s.probe_candidates = m.probe_candidates;
+    s.output_tuples = m.output_tuples;
+    s.mig_out_tuples = m.mig_out_tuples;
+    s.mig_out_bytes = m.mig_out_bytes;
+    s.mig_in_tuples = m.mig_in_tuples;
+    s.mig_in_bytes = m.mig_in_bytes;
+    s.discarded_tuples = m.discarded_tuples;
+    s.migrations_finalized = m.migrations_finalized;
+    s.stored_tuples = m.stored_tuples;
+    s.stored_bytes = m.stored_bytes;
+    s.peak_stored_bytes = m.peak_stored_bytes;
+    s.latency_count = m.latency_us.count();
+    s.latency_sum_us = m.latency_us.sum();
+    s.shed_probes_skipped = m.shed_probes_skipped;
+    s.shed_rate_ppm = shed_rate_ppm;
+    s.epoch = epoch;
+    s.migrating = migrating;
+    s.active = active;
+    Publish(s);
   }
 
  private:
@@ -308,7 +189,17 @@ class MetricsRegistry {
   TaskTelemetry* Register(int task_id, TaskKind kind) {
     std::lock_guard<std::mutex> lock(mu_);
     slots_.emplace_back(task_id, kind);
-    return &slots_.back().cell;
+    TaskTelemetry* cell = &slots_.back().cell;
+    // Seed the kind's default snapshot, so a cell read before its task's
+    // first publish shows the record's defaults (e.g. an exact shed rate).
+    if (kind == TaskKind::kJoiner) {
+      cell->Publish(JoinerSnapshot());
+    } else if (kind == TaskKind::kAgg) {
+      cell->Publish(AggSnapshot());
+    } else {
+      cell->Publish(ReshufflerSnapshot());
+    }
+    return cell;
   }
 
   /// Reads every registered task's cell into a consistent-per-task snapshot
@@ -323,11 +214,11 @@ class MetricsRegistry {
       snap.task = slot.task;
       snap.kind = slot.kind;
       if (slot.kind == TaskKind::kJoiner) {
-        snap.joiner = slot.cell.ReadJoiner();
+        snap.joiner = slot.cell.Read<JoinerSnapshot>();
       } else if (slot.kind == TaskKind::kAgg) {
-        snap.agg = slot.cell.ReadAgg();
+        snap.agg = slot.cell.Read<AggSnapshot>();
       } else {
-        snap.reshuffler = slot.cell.ReadReshuffler();
+        snap.reshuffler = slot.cell.Read<ReshufflerSnapshot>();
       }
       out.push_back(snap);
     }
@@ -350,6 +241,43 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;         // guards the deque structure, not the cells
   std::deque<Slot> slots_;        // deque: stable cell addresses on growth
+};
+
+/// The one periodic thread of the telemetry plane: runs `tick` every
+/// period, stamped with SteadyNowMicros() (the threaded engine's and the
+/// trace ring's clock). TelemetrySampler, AutoscaleController and
+/// ShedController all run on it.
+class PeriodicTicker {
+ public:
+  /// `tick` runs on the ticker thread, once per `period_us`, with the
+  /// steady-clock time of the tick; the first tick comes one period after
+  /// Start().
+  PeriodicTicker(uint64_t period_us, std::function<void(uint64_t)> tick);
+  ~PeriodicTicker();
+
+  PeriodicTicker(const PeriodicTicker&) = delete;
+  PeriodicTicker& operator=(const PeriodicTicker&) = delete;
+
+  /// Starts the thread. No-op if already running.
+  void Start();
+
+  /// Stops and joins the thread; an in-flight tick finishes first. No-op if
+  /// not running.
+  void Stop();
+
+  /// True between Start() and Stop().
+  bool running() const;
+
+ private:
+  void Loop();
+
+  const uint64_t period_us_;
+  const std::function<void(uint64_t)> tick_;
+  mutable std::mutex mu_;  // guards stop_ / running_
+  std::condition_variable cv_;
+  bool stop_ = false;
+  bool running_ = false;
+  std::thread thread_;  // after everything Loop() uses
 };
 
 /// One sampler observation: registry snapshot + optional exchange rollups.
@@ -396,12 +324,12 @@ class TelemetrySampler {
   /// intervals with logical time) and also what the background thread runs.
   TelemetrySample SampleNow(uint64_t t_us);
 
-  /// Starts the background sampling thread (threaded engine). No-op if
-  /// already running.
+  /// Takes a first sample and starts the background sampling thread
+  /// (threaded engine). No-op if already running.
   void Start();
 
-  /// Stops the background thread after one final sample, so the series
-  /// always ends with a fresh observation. No-op if not running.
+  /// Stops the background thread, then takes one final sample, so the
+  /// series always ends with a fresh observation. No-op if not running.
   void Stop();
 
   /// Copy of the ring-buffered series, oldest first.
@@ -419,8 +347,6 @@ class TelemetrySampler {
   bool WriteJson(const std::string& path, const std::string& name) const;
 
  private:
-  void Loop();
-
   const MetricsRegistry* registry_;
   const Options options_;
   std::function<std::vector<EdgeStatsSnapshot>()> edge_source_;
@@ -431,11 +357,60 @@ class TelemetrySampler {
   std::deque<TelemetrySample> series_;
   uint64_t taken_ = 0;
 
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
+  PeriodicTicker ticker_;  // last member: stopped before the rest goes
+};
+
+/// One observation of a join stage, as the autoscale and shed policies see
+/// it.
+struct StageSample {
+  uint64_t t_us = 0;
+  /// Joiners currently inside the live grid (telemetry `active` flag).
+  uint32_t live_joiners = 0;
+  /// Any joiner mid-migration (the autoscale policy never acts while true).
+  bool migrating = false;
+  /// Fraction of the tick the exchange plane spent credit-stalled.
+  double stall_ratio = 0;
+  /// Input tuples/sec over the tick (joiner in_tuples delta).
+  double input_rate = 0;
+  /// Max stored tuples on any live joiner (memory-pressure signal for
+  /// logging; the built-in triggers use stall/rate).
+  uint64_t per_joiner_stored = 0;
+  /// Instantaneous ingress backlog gauge (envelopes posted, not consumed).
+  uint64_t backlog = 0;
+};
+
+/// Turns registry snapshots into StageSamples for one join stage: filters
+/// the registry to the stage's joiner tasks and differences the cumulative
+/// counters between consecutive samples. Not thread-safe: one caller (the
+/// owning controller's tick) at a time.
+class StageObserver {
+ public:
+  /// Watches `registry` cells whose task ids are in `joiner_tasks`. The
+  /// registry is not owned and must outlive the observer.
+  StageObserver(const MetricsRegistry* registry, std::vector<int> joiner_tasks);
+
+  /// Adds plane-wide exchange stats so samples carry a stall ratio (e.g.
+  /// bind ThreadEngine::exchange_stats). Set before sampling.
+  void SetExchangeSource(std::function<ExchangeStatsSnapshot()> source);
+
+  /// Adds an instantaneous ingress-backlog gauge to every sample. Set
+  /// before sampling.
+  void SetBacklogSource(std::function<uint64_t()> source);
+
+  /// Builds the sample for time `t_us`. Rates and the stall ratio are deltas
+  /// since the previous call (zero on the first call or when time has not
+  /// advanced).
+  StageSample Sample(uint64_t t_us);
+
+ private:
+  const MetricsRegistry* registry_;
+  std::unordered_set<int> joiner_tasks_;
+  std::function<ExchangeStatsSnapshot()> exchange_source_;
+  std::function<uint64_t()> backlog_source_;
+  uint64_t last_t_us_ = 0;
+  uint64_t last_in_tuples_ = 0;
+  uint64_t last_stall_ns_ = 0;
+  bool have_last_ = false;
 };
 
 }  // namespace ajoin

@@ -108,9 +108,9 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
 
 // ---- AutoscalePolicy: synthetic-trace decision sequences --------------------
 
-AutoscaleSample Sample(uint32_t live, double rate, double stall,
-                       bool migrating = false) {
-  AutoscaleSample s;
+StageSample Sample(uint32_t live, double rate, double stall,
+                   bool migrating = false) {
+  StageSample s;
   s.live_joiners = live;
   s.input_rate = rate;
   s.stall_ratio = stall;
@@ -894,6 +894,31 @@ TEST(AutoscaleLoop, ControllerScalesLiveDataflowAndOutputStaysExact) {
   }
   EXPECT_GE(ex, 1u);
   EXPECT_GE(co, 1u);
+
+  // The controller log runs on the trace clock: each accepted grow is
+  // stamped at or before the first scale_grow event that follows it, and
+  // within a second of it. (A grow the operator drops because its slots are
+  // used up has no event of its own; the first grow always has one.)
+  const std::vector<TraceEvent> events = trace.Snapshot();
+  int grows_matched = 0;
+  for (const AutoscaleController::Action& a : ctl.log()) {
+    if (!a.accepted || a.decision != AutoscalePolicy::Decision::kGrow) {
+      continue;
+    }
+    const TraceEvent* next = nullptr;
+    for (const TraceEvent& ev : events) {
+      if (ev.kind == TraceEventKind::kScaleGrow && ev.t_us >= a.t_us &&
+          (next == nullptr || ev.t_us < next->t_us)) {
+        next = &ev;
+      }
+    }
+    if (next == nullptr) continue;
+    ++grows_matched;
+    EXPECT_LE(a.t_us, next->t_us);
+    EXPECT_LE(next->t_us - a.t_us, 1000000u)
+        << "grow at t_us=" << a.t_us << ", scale_grow at " << next->t_us;
+  }
+  EXPECT_GE(grows_matched, 1);
 
   // The scaled run is still the exact join — at the operator and at the
   // streaming sink.

@@ -63,8 +63,8 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
 
 // ---- ShedPolicy: synthetic-sample rate sequences ----------------------------
 
-ShedSample Stall(double ratio, uint64_t backlog = 0) {
-  ShedSample s;
+StageSample Stall(double ratio, uint64_t backlog = 0) {
+  StageSample s;
   s.stall_ratio = ratio;
   s.backlog = backlog;
   return s;

@@ -5,13 +5,17 @@
 // tiny-batch/tiny-ring exchange config.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -183,6 +187,171 @@ TEST(TelemetrySampler, SeriesRingAndJsonExport) {
   EXPECT_NE(blob.find("\"in_tuples\": 7"), std::string::npos);
   EXPECT_NE(blob.find("\"samples\""), std::string::npos);
   EXPECT_NE(blob.find("\"trace\""), std::string::npos);
+}
+
+// ---- Field tables: every field survives the export --------------------------
+
+// Gives every field of `record` a distinct non-zero value (bools: true),
+// walking the record's field table, and remembers how the JSON export must
+// print each one.
+template <typename Record>
+std::vector<std::pair<std::string, std::string>> FillDistinct(
+    Record* record, uint64_t* next) {
+  std::vector<std::pair<std::string, std::string>> expected;
+  Record::ForEachField(*record, [&](const char* name, auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    char buf[64];
+    const uint64_t v = (*next)++;
+    if (std::is_same<T, bool>::value) {
+      field = true;
+      std::snprintf(buf, sizeof(buf), "1");
+    } else if (std::is_floating_point<T>::value) {
+      field = static_cast<T>(static_cast<double>(v) + 0.5);
+      std::snprintf(buf, sizeof(buf), "%.6g", static_cast<double>(field));
+    } else {
+      field = static_cast<T>(v);
+      std::snprintf(buf, sizeof(buf), "%llu",
+                    static_cast<unsigned long long>(v));
+    }
+    expected.emplace_back(name, buf);
+  });
+  return expected;
+}
+
+// The flat JSON object that starts at the first `marker` in `blob`.
+std::string ObjectAt(const std::string& blob, const std::string& marker) {
+  const size_t at = blob.find(marker);
+  if (at == std::string::npos) return "";
+  return blob.substr(at, blob.find('}', at) - at);
+}
+
+std::string ReadFile(const char* path) {
+  std::FILE* f = std::fopen(path, "r");
+  if (f == nullptr) return "";
+  std::string blob(1 << 16, '\0');
+  blob.resize(std::fread(&blob[0], 1, blob.size(), f));
+  std::fclose(f);
+  return blob;
+}
+
+// One expectation per record: the marker that locates its JSON object and
+// the (field, printed value) pairs it must carry.
+struct RecordExpectation {
+  std::string marker;
+  std::vector<std::pair<std::string, std::string>> fields;
+};
+
+// Publishes distinct values into every field of every task kind, binds
+// exchange and edge sources doing the same, and writes `samples` samples
+// plus one trace event to `path`.
+std::vector<RecordExpectation> WriteEveryFieldExport(const char* path,
+                                                     int samples) {
+  uint64_t next = 11;
+  JoinerSnapshot joiner;
+  ReshufflerSnapshot reshuffler;
+  AggSnapshot agg;
+  ExchangeStatsSnapshot exchange;
+  EdgeStatsSnapshot edge;
+  std::vector<RecordExpectation> want = {
+      {"{\"task\": 0, \"kind\": \"joiner\"", FillDistinct(&joiner, &next)},
+      {"{\"task\": 1, \"kind\": \"reshuffler\"",
+       FillDistinct(&reshuffler, &next)},
+      {"{\"task\": 2, \"kind\": \"agg\"", FillDistinct(&agg, &next)},
+      {"\"exchange\": {", FillDistinct(&exchange, &next)},
+      {"\"edges\": [{", FillDistinct(&edge, &next)},
+  };
+  MetricsRegistry registry;
+  registry.Register(0, TaskKind::kJoiner)->Publish(joiner);
+  registry.Register(1, TaskKind::kReshuffler)->Publish(reshuffler);
+  registry.Register(2, TaskKind::kAgg)->Publish(agg);
+  TraceRing trace(64);
+  trace.Record(TraceEventKind::kEpochChange, 1, 5, 1, 0);
+  TelemetrySampler sampler(&registry);
+  sampler.SetExchangeSource([exchange] { return exchange; });
+  sampler.SetEdgeSource(
+      [edge] { return std::vector<EdgeStatsSnapshot>{edge}; });
+  sampler.SetTraceSource(&trace);
+  for (int i = 0; i < samples; ++i) {
+    sampler.SampleNow(static_cast<uint64_t>(i) * 1000);
+  }
+  EXPECT_TRUE(sampler.WriteJson(path, "every_field"));
+  return want;
+}
+
+TEST(TelemetrySampler, EveryTableFieldSurvivesJsonExport) {
+  const char* path = "telemetry_every_field.json";
+  const std::vector<RecordExpectation> want = WriteEveryFieldExport(path, 1);
+  const std::string blob = ReadFile(path);
+  std::remove(path);
+  for (const RecordExpectation& record : want) {
+    const std::string object = ObjectAt(blob, record.marker);
+    ASSERT_FALSE(object.empty()) << record.marker << " missing:\n" << blob;
+    for (const auto& field : record.fields) {
+      const std::string kv = "\"" + field.first + "\": " + field.second;
+      EXPECT_NE((object + ",").find(kv + ","), std::string::npos)
+          << record.marker << " lacks " << kv << " in: " << object;
+    }
+  }
+}
+
+#ifdef AJOIN_PYTHON3
+// Exit code of tools/validate_telemetry.py on `path`.
+int RunValidator(const std::string& path) {
+  const std::string cmd = std::string("\"") + AJOIN_PYTHON3 + "\" \"" +
+                          AJOIN_SOURCE_DIR +
+                          "/tools/validate_telemetry.py\" \"" + path +
+                          "\" > /dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// `blob` with every `from` replaced by `to`.
+std::string ReplaceAll(std::string blob, const std::string& from,
+                       const std::string& to) {
+  for (size_t at = blob.find(from); at != std::string::npos;
+       at = blob.find(from, at + to.size())) {
+    blob.replace(at, from.size(), to);
+  }
+  return blob;
+}
+#endif
+
+TEST(TelemetryValidator, AcceptsExportAndRejectsCorruptions) {
+#ifndef AJOIN_PYTHON3
+  GTEST_SKIP() << "no Python 3 interpreter at configure time";
+#else
+  const char* path = "telemetry_validator.json";
+  const std::vector<RecordExpectation> want = WriteEveryFieldExport(path, 2);
+  const std::string blob = ReadFile(path);
+  EXPECT_EQ(RunValidator(path), 0);
+  std::remove(path);
+
+  // Lower the joiner's in_tuples (a counter) in the second of two samples.
+  ASSERT_EQ(want[0].fields[0].first, "in_tuples");
+  const std::string in_tuples = "\"in_tuples\": " + want[0].fields[0].second;
+  const size_t second = blob.rfind(in_tuples);
+  ASSERT_NE(second, blob.find(in_tuples));
+  std::string decreasing = blob;
+  decreasing.replace(second, in_tuples.size(), "\"in_tuples\": 1");
+
+  const std::pair<const char*, std::string> corruptions[] = {
+      {"field removed",
+       ReplaceAll(blob, "\"mig_out_bytes\"", "\"mig_out_bytez\"")},
+      {"counter decreases", decreasing},
+      {"unknown trace kind",
+       ReplaceAll(blob, "\"epoch_change\"", "\"epoch_rewind\"")},
+  };
+  const char* bad = "telemetry_validator_bad.json";
+  for (const auto& c : corruptions) {
+    ASSERT_NE(c.second, blob) << c.first;
+    std::FILE* f = std::fopen(bad, "w");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(c.second.data(), 1, c.second.size(), f);
+    std::fclose(f);
+    EXPECT_EQ(RunValidator(bad), 1) << c.first;
+    std::remove(bad);
+  }
+#endif
 }
 
 // ---- Sim engine: drain-interval sampling ------------------------------------

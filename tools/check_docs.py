@@ -21,7 +21,8 @@
    contract, migration-aware cell moves, EOS flush barrier),
    FlatHashIndex in src/index/flat_index.h and JoinIndex in
    src/localjoin/join_index.h (probe-order guarantees, Reserve semantics,
-   ProbeRun pipeline contract), MetricsRegistry/TelemetrySampler in
+   ProbeRun pipeline contract), MetricsRegistry/TelemetrySampler and the
+   PeriodicTicker/StageObserver loop shared with the controllers in
    src/runtime/metrics_registry.h and TraceRing in src/common/trace_ring.h
    (threading rules of the observability plane: who may publish, who may
    read, what is lock-free). An undocumented method is a contract hole.
@@ -92,7 +93,8 @@ API_SURFACES = (
     ("src/index/agg_table.h", ("AggTable",)),
     ("src/index/flat_index.h", ("FlatHashIndex",)),
     ("src/localjoin/join_index.h", ("JoinIndex",)),
-    ("src/runtime/metrics_registry.h", ("MetricsRegistry", "TelemetrySampler")),
+    ("src/runtime/metrics_registry.h", ("MetricsRegistry", "TelemetrySampler",
+                                        "PeriodicTicker", "StageObserver")),
     ("src/common/trace_ring.h", ("TraceRing",)),
     ("src/check/model.h", ("ModelAtomic",)),
     ("src/check/invariants.h", ("FifoChecker", "TornReadChecker")),

@@ -7,17 +7,19 @@ TelemetrySampler::WriteJson output:
 
     python3 tools/validate_telemetry.py telemetry.json [--require-edges]
 
+The record keys come from the field tables in src/common/telemetry_fields.h
+(the X-macro rows `X(type, name, default, counter|gauge)` the C++ export is
+generated from), so the validator and the exporter cannot drift.
+
 Checks:
   * top level: telemetry (string), schema_version == 1, meta, samples, trace
   * meta: period_us, capacity, samples_taken, samples_kept, tasks — all
     non-negative integers, samples_kept == len(samples) <= samples_taken
-  * every sample: t_us, an exchange rollup, a tasks array (joiner entries
-    carry the full counter set incl. epoch/migrating, reshuffler entries the
-    routing counters, agg entries the group-by counters incl. groups /
-    table_bytes / flushed), and an edges array whose entries carry the
-    backpressure fields (credit_waits, credit_wait_ns, ring_occupancy,
-    ring_peak, ring_capacity, overflow_depth)
-  * per-task cumulative counters are monotone across samples
+  * every sample: t_us, an exchange rollup, a tasks array and an edges
+    array; the rollup, each task (by kind: joiner / reshuffler / agg) and
+    each edge carry every field of their table as a non-negative number
+  * every `counter` field never decreases across samples: per task id, per
+    (producer, consumer) edge, and for the exchange rollup
   * every trace event: index, a known kind, task, t_us, a, b; non-object
     entries and unknown kind strings are reported as failures, never
     skipped
@@ -37,29 +39,27 @@ Exit code 0 = valid; 1 = findings (printed one per line).
 
 import argparse
 import json
+import pathlib
+import re
 import sys
 
+FIELDS_HEADER = (pathlib.Path(__file__).resolve().parent.parent / "src" /
+                 "common" / "telemetry_fields.h")
+TABLE_RE = re.compile(r"#define AJOIN_(\w+)_FIELDS\(X\)((?:.*\\\n)*.*)")
+ROW_RE = re.compile(r"X\(\s*[\w:]+\s*,\s*(\w+)\s*,[^,]*,\s*(counter|gauge)\s*\)")
+
+
+def load_tables(path=FIELDS_HEADER):
+    """{"joiner": {name: kind}, ...} parsed from the X-macro field tables."""
+    text = path.read_text(encoding="utf-8")
+    return {m.group(1).lower(): dict(ROW_RE.findall(m.group(2)))
+            for m in TABLE_RE.finditer(text)}
+
+
+TABLES = load_tables()
+TASK_KINDS = ("joiner", "reshuffler", "agg")
+RECORD_TABLES = TASK_KINDS + ("exchange", "edge")
 SAMPLE_KEYS = ("t_us", "exchange", "tasks", "edges")
-EXCHANGE_KEYS = ("envelopes", "batches", "credit_waits", "credit_wait_ns",
-                 "overflow_batches")
-JOINER_KEYS = ("in_tuples", "in_bytes", "probe_candidates", "output_tuples",
-               "mig_out_tuples", "mig_in_tuples", "discarded_tuples",
-               "migrations_finalized", "stored_tuples", "stored_bytes",
-               "peak_stored_bytes", "latency_count", "latency_sum_us",
-               "epoch", "migrating", "active", "shed_probes_skipped",
-               "shed_rate_ppm")
-RESHUFFLER_KEYS = ("routed_tuples", "sent_msgs", "sent_bytes",
-                   "epoch_changes", "results_restamped")
-AGG_KEYS = ("in_tuples", "in_bytes", "groups", "table_bytes",
-            "mig_out_cells", "mig_in_cells", "migrations_finalized",
-            "emitted_results", "epoch", "migrating", "flushed")
-EDGE_KEYS = ("producer", "consumer", "bounded", "batches", "envelopes",
-             "credit_waits", "credit_wait_ns", "overflow_batches",
-             "ring_occupancy", "ring_peak", "ring_capacity", "overflow_depth")
-MONOTONE_JOINER_KEYS = ("in_tuples", "output_tuples", "migrations_finalized",
-                        "shed_probes_skipped")
-MONOTONE_AGG_KEYS = ("in_tuples", "in_bytes", "migrations_finalized",
-                     "emitted_results")
 TRACE_KINDS = ("epoch_change", "migration_begin", "migration_finalize",
                "credit_stall", "scale_grow", "scale_shrink", "shed_enter",
                "shed_exit", "shed_rate_change")
@@ -79,6 +79,23 @@ def check_counter(errors, obj, key, where):
                 f"{where}: '{key}' is not a non-negative number")
 
 
+def records(sample, i):
+    """Yields (where, table, identity, record) for every record in a
+    sample; identity keys the monotonicity check across samples."""
+    if "exchange" in sample:  # absence is reported by check_sample
+        yield f"samples[{i}].exchange", "exchange", ("exchange",), \
+            sample["exchange"]
+    for t, task in enumerate(sample.get("tasks", [])):
+        kind = task.get("kind") if isinstance(task, dict) else None
+        table = kind if kind in TASK_KINDS else None
+        ident = ("task", kind, task.get("task")) if table else None
+        yield f"samples[{i}].tasks[{t}]", table, ident, task
+    for e, edge in enumerate(sample.get("edges", [])):
+        ident = (("edge", edge.get("producer"), edge.get("consumer"))
+                 if isinstance(edge, dict) else None)
+        yield f"samples[{i}].edges[{e}]", "edge", ident, edge
+
+
 def check_sample(errors, sample, i):
     where = f"samples[{i}]"
     if not isinstance(sample, dict):
@@ -86,29 +103,15 @@ def check_sample(errors, sample, i):
         return
     for key in SAMPLE_KEYS:
         require(errors, key in sample, f"{where}: missing '{key}'")
-    if isinstance(sample.get("exchange"), dict):
-        for key in EXCHANGE_KEYS:
-            check_counter(errors, sample["exchange"], key,
-                          f"{where}.exchange")
-    for t, task in enumerate(sample.get("tasks", [])):
-        twhere = f"{where}.tasks[{t}]"
-        if not isinstance(task, dict):
-            errors.append(f"{twhere}: not an object")
+    for rwhere, table, _, record in records(sample, i):
+        if not isinstance(record, dict):
+            errors.append(f"{rwhere}: not an object")
             continue
-        require(errors, task.get("kind") in ("joiner", "reshuffler", "agg"),
-                f"{twhere}: bad kind {task.get('kind')!r}")
-        keys = (JOINER_KEYS if task.get("kind") == "joiner"
-                else AGG_KEYS if task.get("kind") == "agg"
-                else RESHUFFLER_KEYS)
-        for key in keys:
-            check_counter(errors, task, key, twhere)
-    for e, edge in enumerate(sample.get("edges", [])):
-        ewhere = f"{where}.edges[{e}]"
-        if not isinstance(edge, dict):
-            errors.append(f"{ewhere}: not an object")
+        if table not in TABLES:
+            errors.append(f"{rwhere}: bad kind {record.get('kind')!r}")
             continue
-        for key in EDGE_KEYS:
-            check_counter(errors, edge, key, ewhere)
+        for key in TABLES[table]:
+            check_counter(errors, record, key, rwhere)
 
 
 def check_monotone(errors, samples):
@@ -116,23 +119,18 @@ def check_monotone(errors, samples):
     for i, sample in enumerate(samples):
         if not isinstance(sample, dict):
             continue  # already reported by check_sample
-        for task in sample.get("tasks", []):
-            if not isinstance(task, dict):
+        for rwhere, table, ident, record in records(sample, i):
+            if not isinstance(record, dict) or table not in TABLES:
                 continue
-            if task.get("kind") == "joiner":
-                monotone_keys = MONOTONE_JOINER_KEYS
-            elif task.get("kind") == "agg":
-                monotone_keys = MONOTONE_AGG_KEYS
-            else:
-                continue
-            tid = task.get("task")
-            for key in monotone_keys:
-                last = prev.get((tid, key), 0)
-                cur = task.get(key, 0)
-                require(errors, cur >= last,
-                        f"samples[{i}] task {tid}: '{key}' went backwards "
+            for key, kind in TABLES[table].items():
+                cur = record.get(key)
+                if kind != "counter" or not isinstance(cur, (int, float)):
+                    continue
+                last = prev.get((ident, key))
+                require(errors, last is None or cur >= last,
+                        f"{rwhere}: counter '{key}' went backwards "
                         f"({last} -> {cur})")
-                prev[(tid, key)] = cur
+                prev[(ident, key)] = cur
 
 
 def main():
@@ -152,6 +150,11 @@ def main():
                              "the final sample's agg tasks all report "
                              "flushed == 1")
     args = parser.parse_args()
+
+    missing = [t for t in RECORD_TABLES if not TABLES.get(t)]
+    if missing:
+        print(f"{FIELDS_HEADER}: no field table for {', '.join(missing)}")
+        return 1
 
     errors = []
     try:
