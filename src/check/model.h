@@ -169,6 +169,8 @@ enum class Mutation : uint32_t {
   kBatchRingTailRelaxed = 0,
   /// SeqlockCell::Publish's release fence degrades to relaxed (a no-op).
   kSeqlockPublishRelaxedFence = 1,
+  /// RunState::TryIdle stores idle without checking the notified bit.
+  kRunStateIdleIgnoresNotified = 2,
 };
 
 /// Enables/disables a seeded mutation (test setup only; not thread-safe
@@ -288,6 +290,28 @@ class ModelAtomic {
         this, AsWord(real_.load(std::memory_order_relaxed)), mo,
         [&](uint64_t v) { return AsWord(static_cast<T>(FromWord(v) - d)); });
     real_.store(static_cast<T>(static_cast<T>(old) - d),
+                std::memory_order_relaxed);
+    return static_cast<T>(old);
+  }
+
+  /// Atomic fetch-or returning the previous value.
+  T fetch_or(T bits, std::memory_order mo) {
+    if (!InModel()) return real_.fetch_or(bits, mo);
+    const uint64_t old = detail::MRmw(
+        this, AsWord(real_.load(std::memory_order_relaxed)), mo,
+        [&](uint64_t v) { return AsWord(static_cast<T>(FromWord(v) | bits)); });
+    real_.store(static_cast<T>(static_cast<T>(old) | bits),
+                std::memory_order_relaxed);
+    return static_cast<T>(old);
+  }
+
+  /// Atomic fetch-and returning the previous value.
+  T fetch_and(T bits, std::memory_order mo) {
+    if (!InModel()) return real_.fetch_and(bits, mo);
+    const uint64_t old = detail::MRmw(
+        this, AsWord(real_.load(std::memory_order_relaxed)), mo,
+        [&](uint64_t v) { return AsWord(static_cast<T>(FromWord(v) & bits)); });
+    real_.store(static_cast<T>(static_cast<T>(old) & bits),
                 std::memory_order_relaxed);
     return static_cast<T>(old);
   }

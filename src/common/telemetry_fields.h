@@ -1,7 +1,8 @@
 // The telemetry field tables: every exported record is declared exactly
 // once, as an X-macro row list `X(type, name, default, kind)`. From each
-// table the code generates the snapshot struct (and, for the exchange
-// rollup and edges, the atomic counters ExchangePlane bumps); the JSON
+// table the code generates the snapshot struct (and, for edges, the atomic
+// counters ExchangePlane bumps; the exchange rollup is summed from the
+// edges and outboxes when read); the JSON
 // export walks the same rows; tools/validate_telemetry.py parses these
 // rows from this header to learn the required keys and kinds. Adding a
 // field is a one-line change here.

@@ -112,13 +112,6 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
     return eos_seen_ >= config_.num_reshufflers && !migrating();
   }
 
-  /// Scheduling hint (see Task::dormant): a slot outside the live grid is
-  /// dormant unless a migration is in flight — during one it may be an
-  /// expansion target receiving state, or a contraction retiree that still
-  /// has directives to execute. Both flags are written only by this task's
-  /// own dispatches, as the contract requires.
-  bool dormant() const override { return !participating() && !migrating(); }
-
   /// Serializes the consolidated join state (both relations + epoch) for
   /// checkpointing (paper section 4.3.3: the consumer side of the FTOpt
   /// protocol fulfills its responsibility by checkpointing to stable

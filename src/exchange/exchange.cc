@@ -8,9 +8,10 @@
 namespace ajoin {
 
 namespace {
-/// How long a parked thread sleeps before re-checking on its own. The
-/// doorbell/credit protocols notify on the fast path; the timeout only
-/// bounds the cost of a lost wakeup race.
+/// How long a producer parked for credits sleeps before re-checking on its
+/// own. The consumer notifies on the fast path; the timeout only bounds the
+/// cost of a lost wakeup race (and of a consumer requeued without popping
+/// this edge, which the producer may then help).
 constexpr std::chrono::milliseconds kParkTimeout{1};
 }  // namespace
 
@@ -63,26 +64,6 @@ ExchangePlane::Edge* ExchangePlane::GetEdge(size_t producer, int consumer) {
   return edge;
 }
 
-void ExchangePlane::Doorbell(int consumer) {
-  Inbox& inbox = inboxes_[static_cast<size_t>(consumer)];
-  if (inbox.sleeping.load(std::memory_order_seq_cst) != 0) {
-    std::lock_guard<std::mutex> lock(inbox.sleep_mu);
-    inbox.sleep_cv.notify_one();
-  }
-  // Dormant consumer: the first doorbell of the episode wins the 1->2 CAS
-  // and fires the wake hook; later producers see 2 and rely on the spawn
-  // already in flight (the spawned worker drains everything and only
-  // retires after a fresh mark + HasWork recheck).
-  if (wake_hook_ != nullptr &&
-      inbox.dormant.load(std::memory_order_seq_cst) == 1) {
-    int expected = 1;
-    if (inbox.dormant.compare_exchange_strong(expected, 2,
-                                              std::memory_order_seq_cst)) {
-      wake_hook_(consumer);
-    }
-  }
-}
-
 namespace {
 /// Lifts `occ` into the edge's high-water occupancy gauge (CAS-max).
 inline void RaisePeak(std::atomic<uint32_t>& peak, uint32_t occ) {
@@ -95,21 +76,17 @@ inline void RaisePeak(std::atomic<uint32_t>& peak, uint32_t occ) {
 
 void ExchangePlane::PushBatch(Edge& edge, TupleBatch& batch, int consumer,
                               size_t producer) {
-  stats_.batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.envelopes.fetch_add(batch.size(), std::memory_order_relaxed);
   edge.batches.fetch_add(1, std::memory_order_relaxed);
   edge.envelopes.fetch_add(batch.size(), std::memory_order_relaxed);
   if (edge.bounded) {
     if (!edge.ring.TryPush(batch)) {
-      // Out of credits: backpressure. Make sure the consumer is awake (our
-      // earlier pushes may be what it is sleeping on), then wait for it to
-      // return credits by consuming. The whole episode — spin, park, retry —
-      // is stamped as credit-wait time so telemetry sees stall *duration*,
-      // not just the event count.
-      stats_.credit_waits.fetch_add(1, std::memory_order_relaxed);
+      // Out of credits: backpressure. Our earlier pushes already marked the
+      // consumer ready, so it is queued or running until it pops them; wait
+      // for it to return credits by consuming. The whole episode — help,
+      // spin, park, retry — is stamped as credit-wait time so telemetry
+      // sees stall *duration*, not just the event count.
       edge.credit_waits.fetch_add(1, std::memory_order_relaxed);
       const uint64_t t0_ns = SteadyNowNanos();
-      Doorbell(consumer);
       bool modeled_wait = false;
 #ifdef AJOIN_MODELCHECK
       if (check::InModel()) {
@@ -124,8 +101,13 @@ void ExchangePlane::PushBatch(Edge& edge, TupleBatch& batch, int consumer,
         }
       }
 #endif
+      // Help while blocked: only worker tasks (producer ids below
+      // num_tasks_, always below the consumer on a bounded edge) run the
+      // consumer inline; ingress ports are not pool workers.
+      const bool can_help = scheduler_ != nullptr && producer < num_tasks_;
       int spins = 0;
       while (!modeled_wait && !edge.ring.TryPush(batch)) {
+        if (can_help && scheduler_->Help(consumer)) continue;
         if (++spins <= 4) {
           std::this_thread::yield();
           continue;
@@ -135,14 +117,13 @@ void ExchangePlane::PushBatch(Edge& edge, TupleBatch& batch, int consumer,
             !closed_.load(std::memory_order_acquire)) {
           std::unique_lock<std::mutex> lock(edge.credit_mu);
           // ajoin-lint: id-ordered-block — only producers below the
-          // consumer's task id (or external ingress) reach this wait, so
-          // the credit wait-for graph is acyclic (see exchange.h).
+          // consumer's id (or ingress) wait, workers only on a consumer
+          // another worker holds: acyclic wait-for graph (exchange.h).
           edge.credit_cv.wait_for(lock, kParkTimeout);
         }
         edge.producer_waiting.store(false, std::memory_order_relaxed);
       }
       const uint64_t stall_ns = SteadyNowNanos() - t0_ns;
-      stats_.credit_wait_ns.fetch_add(stall_ns, std::memory_order_relaxed);
       edge.credit_wait_ns.fetch_add(stall_ns, std::memory_order_relaxed);
       if (config_.trace != nullptr) {
         config_.trace->Record(TraceEventKind::kCreditStall, consumer,
@@ -152,7 +133,7 @@ void ExchangePlane::PushBatch(Edge& edge, TupleBatch& batch, int consumer,
     AJOIN_MC_LEDGER_PUSH(&edge);
     RaisePeak(edge.ring_peak,
               static_cast<uint32_t>(edge.ring.SlotsUsed()));
-    Doorbell(consumer);
+    MarkReady(consumer);
     return;
   }
   // Unbounded edge: ring while the overflow lane is empty (FIFO invariant:
@@ -163,10 +144,9 @@ void ExchangePlane::PushBatch(Edge& edge, TupleBatch& batch, int consumer,
     AJOIN_MC_LEDGER_PUSH(&edge);
     RaisePeak(edge.ring_peak,
               static_cast<uint32_t>(edge.ring.SlotsUsed()));
-    Doorbell(consumer);
+    MarkReady(consumer);
     return;
   }
-  stats_.overflow_batches.fetch_add(1, std::memory_order_relaxed);
   edge.overflow_batches.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(edge.ov_mu);
@@ -174,7 +154,7 @@ void ExchangePlane::PushBatch(Edge& edge, TupleBatch& batch, int consumer,
     edge.ov_count.fetch_add(1, std::memory_order_release);
   }
   AJOIN_MC_LEDGER_PUSH(&edge);
-  Doorbell(consumer);
+  MarkReady(consumer);
 }
 
 bool ExchangePlane::PopAny(int consumer, size_t* rr_cursor, TupleBatch* out) {
@@ -223,43 +203,8 @@ bool ExchangePlane::PopAny(int consumer, size_t* rr_cursor, TupleBatch* out) {
   return false;
 }
 
-bool ExchangePlane::HasWork(int consumer) const {
-  const Inbox& inbox = inboxes_[static_cast<size_t>(consumer)];
-  const size_t n = inbox.n_edges.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    const Edge& edge = *inbox.edges[i];
-    if (!edge.ring.ProbablyEmpty()) return true;
-    if (!edge.bounded && edge.ov_count.load(std::memory_order_acquire) > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void ExchangePlane::WaitForWork(int consumer) {
-  Inbox& inbox = inboxes_[static_cast<size_t>(consumer)];
-  inbox.sleeping.store(1, std::memory_order_seq_cst);
-  // Re-check after announcing: a producer that pushed before seeing
-  // sleeping==1 is caught here; one that pushes after will ring the bell.
-  if (HasWork(consumer) || closed()) {
-    inbox.sleeping.store(0, std::memory_order_relaxed);
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(inbox.sleep_mu);
-    // ajoin-lint: timed-park — bounded 1ms nap; the doorbell notifies on
-    // every push, so this can never participate in a deadlock cycle.
-    inbox.sleep_cv.wait_for(lock, kParkTimeout);
-  }
-  inbox.sleeping.store(0, std::memory_order_relaxed);
-}
-
 void ExchangePlane::Close() {
   closed_.store(true, std::memory_order_release);
-  for (Inbox& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox.sleep_mu);
-    inbox.sleep_cv.notify_all();
-  }
   for (std::atomic<Edge*>& slot : edge_matrix_) {
     Edge* edge = slot.load(std::memory_order_acquire);
     if (edge != nullptr && edge->bounded) {
@@ -271,8 +216,23 @@ void ExchangePlane::Close() {
 
 ExchangeStatsSnapshot ExchangePlane::stats() const {
   ExchangeStatsSnapshot out;
-  const Stats& twin = stats_;
-  AJOIN_EXCHANGE_FIELDS(AJOIN_TWIN_LOAD)
+  for (const std::atomic<Edge*>& slot : edge_matrix_) {
+    const Edge* edge = slot.load(std::memory_order_acquire);
+    if (edge == nullptr) continue;
+    out.envelopes += edge->envelopes.load(std::memory_order_relaxed);
+    out.batches += edge->batches.load(std::memory_order_relaxed);
+    out.credit_waits += edge->credit_waits.load(std::memory_order_relaxed);
+    out.credit_wait_ns += edge->credit_wait_ns.load(std::memory_order_relaxed);
+    out.overflow_batches +=
+        edge->overflow_batches.load(std::memory_order_relaxed);
+  }
+  for (const Outbox& outbox : outboxes_) {
+    out.size_flushes += outbox.size_flushes_.load(std::memory_order_relaxed);
+    out.deadline_flushes +=
+        outbox.deadline_flushes_.load(std::memory_order_relaxed);
+    out.control_flushes +=
+        outbox.control_flushes_.load(std::memory_order_relaxed);
+  }
   out.avg_batch_fill = out.batches == 0
                            ? 0
                            : static_cast<double>(out.envelopes) /
@@ -321,7 +281,7 @@ void ExchangePlane::Outbox::Send(int to, Envelope&& msg, uint64_t now_hint_us) {
     // Control cuts the batch: flush buffered data first so the control
     // message keeps its FIFO position on the edge, then ship it alone.
     if (!pe.pending.empty()) {
-      plane_->stats_.control_flushes.fetch_add(1, std::memory_order_relaxed);
+      Bump(control_flushes_);
       FlushEdge(pe, to);
     }
     TupleBatch single(std::move(msg));
@@ -331,7 +291,7 @@ void ExchangePlane::Outbox::Send(int to, Envelope&& msg, uint64_t now_hint_us) {
   if (pe.pending.empty()) ArmPending(pe, now_hint_us);
   pe.pending.Add(std::move(msg));
   if (pe.pending.size() >= plane_->config_.batch_size) {
-    plane_->stats_.size_flushes.fetch_add(1, std::memory_order_relaxed);
+    Bump(size_flushes_);
     FlushEdge(pe, to);
   }
 }
@@ -351,7 +311,7 @@ void ExchangePlane::Outbox::SendRun(int to, TupleBatch&& run,
       pe.pending.Add(std::move(run.items[i++]));
     }
     if (pe.pending.size() >= batch_size) {
-      plane_->stats_.size_flushes.fetch_add(1, std::memory_order_relaxed);
+      Bump(size_flushes_);
       FlushEdge(pe, to);
     }
     if (i == n) {  // fully absorbed; the pending deadline is already armed
@@ -365,7 +325,7 @@ void ExchangePlane::Outbox::SendRun(int to, TupleBatch&& run,
   // the pending buffer — the dominant per-envelope cost left on this path.
   const size_t left = n - i;
   if (left * 2 >= batch_size) {
-    plane_->stats_.size_flushes.fetch_add(1, std::memory_order_relaxed);
+    Bump(size_flushes_);
     if (i == 0) {
       plane_->PushBatch(*pe.edge, run, to, producer_);
     } else {
@@ -424,7 +384,7 @@ void ExchangePlane::Outbox::FlushExpired(uint64_t now_us) {
     PerEdge& pe = edges_[to];
     if (pe.pending.empty()) continue;
     if (now_us - pe.pending.first_buffered_us >= deadline) {
-      plane_->stats_.deadline_flushes.fetch_add(1, std::memory_order_relaxed);
+      Bump(deadline_flushes_);
       FlushEdge(pe, static_cast<int>(to));
     } else {
       const uint64_t due = pe.pending.first_buffered_us + deadline;

@@ -5,18 +5,28 @@
 // window, so a slow consumer stalls only the producers feeding it instead of
 // the whole driver (which the old global max_inflight throttle did).
 //
+// Scheduling: the plane owns no threads. Every push reports the consumer to
+// the Scheduler the engine installs (MarkReady), and the engine runs the
+// consumer on its worker pool.
+//
 // Blocking policy (deadlock freedom by resource ordering): a producer may
-// block waiting for credits only on edges to *higher* task ids — which covers
-// the natural downstream direction driver → reshuffler → joiner — plus all
+// wait for credits only on edges to *higher* task ids — which covers the
+// natural downstream direction driver → reshuffler → joiner — plus all
 // external (driver) edges, which are the system's strictly bounded ingress.
 // Lateral and upstream edges (joiner→joiner migration traffic against id
 // order, joiner→controller acks) never block: when out of credits they spill
 // to an unbounded per-edge overflow lane that drains FIFO behind the ring.
-// Any wait-for cycle would need an edge against id order, and those never
-// wait, so the wait-for graph is acyclic; boundedness is enforced end-to-end
-// at the ingress edges (overflow volume is bounded by the in-flight credit
-// window times the operator's per-tuple fan-out, and by migrated state size
-// during a migration).
+// A worker-task producer out of credits first helps: if no other worker
+// holds the consumer, it runs the consumer's slice inline (Scheduler::Help)
+// and retries; only if another worker holds it does it park on the edge's
+// credit condvar. Every help and every wait points at a strictly higher
+// task id, so each worker's stack of nested tasks has increasing ids, any
+// wait-for chain has increasing ids, and the wait-for graph is acyclic for
+// any pool size; boundedness is enforced end-to-end at the ingress edges
+// (overflow volume is bounded by the in-flight credit window times the
+// operator's per-tuple fan-out, and by migrated state size during a
+// migration). External ingress ports are not pool workers: they never help
+// and just park.
 //
 // FIFO: per-edge order is structural (one SPSC ring per edge; the overflow
 // lane is strictly younger than the ring because a producer only bypasses to
@@ -34,7 +44,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -52,10 +61,10 @@ struct ExchangeConfig {
   uint32_t batch_size = 128;
   /// Per-edge credit window in batches (rounded up to a power of two).
   uint32_t ring_slots = 64;
-  /// Max time a buffered envelope may wait before a deadline flush. Workers
-  /// check after every processed batch and flush everything whenever their
-  /// inbox runs dry; the ingress (driver) side checks on every Post and at
-  /// WaitQuiescent.
+  /// Max time a buffered envelope may wait before a deadline flush. A
+  /// running task checks after every processed batch and flushes everything
+  /// whenever its inbox runs dry; the ingress (driver) side checks on every
+  /// Post and at WaitQuiescent.
   uint64_t flush_deadline_us = 200;
   /// External producer slots available to Engine::OpenIngress. Each slot is
   /// a full per-consumer edge row (rings created lazily on first send), so
@@ -85,6 +94,24 @@ class ExchangePlane {
   ExchangePlane(const ExchangePlane&) = delete;
   ExchangePlane& operator=(const ExchangePlane&) = delete;
 
+  /// The scheduling hooks an engine installs. Both are called from producer
+  /// threads mid-send with no plane locks held.
+  class Scheduler {
+   public:
+    virtual ~Scheduler() = default;
+    /// A batch was pushed onto one of `consumer`'s edges: make it runnable.
+    virtual void MarkReady(int consumer) = 0;
+    /// The calling worker task is out of credits on its edge to `consumer`
+    /// (a higher task id). Runs one slice of `consumer` on the calling
+    /// thread and returns true, or returns false when another worker holds
+    /// `consumer` (the producer then parks until credits return).
+    virtual bool Help(int consumer) = 0;
+  };
+
+  /// Installs the engine's scheduler (not owned; set before any traffic).
+  /// Without one, pushes mark nothing and credit waits only park.
+  void SetScheduler(Scheduler* scheduler) { scheduler_ = scheduler; }
+
   /// The first external (ingress-port) producer slot.
   size_t external_producer() const { return num_tasks_; }
   /// Total producer ids, workers + ingress-port slots.
@@ -95,8 +122,8 @@ class ExchangePlane {
 
  public:
   /// Per-producer send side. NOT thread-safe: each outbox is owned by its
-  /// producer's thread (the engine serializes the external one).
-  class Outbox {
+  /// producer (a task's runner, or an ingress port under its lock).
+  class alignas(64) Outbox {
    public:
     /// Buffers (or immediately ships, for control types) one envelope.
     /// `now_hint_us` of 0 (the production path) means "read the clock
@@ -151,68 +178,37 @@ class ExchangePlane {
     /// the buffering time, and arms the deadline sweep.
     void ArmPending(PerEdge& pe, uint64_t now_hint_us);
 
+    /// Single-writer increment of one of this outbox's flush counters.
+    static void Bump(std::atomic<uint64_t>& counter) {
+      counter.store(counter.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+    }
+
     ExchangePlane* plane_ = nullptr;
     size_t producer_ = 0;
     std::vector<PerEdge> edges_;          // indexed by consumer id
     uint64_t next_deadline_check_us_ = 0; // 0 = nothing pending
+    // Flush counters: written only by this producer, on its own cache line;
+    // stats() sums them across outboxes at read time.
+    std::atomic<uint64_t> size_flushes_{0};
+    std::atomic<uint64_t> deadline_flushes_{0};
+    std::atomic<uint64_t> control_flushes_{0};
   };
 
   Outbox* outbox(size_t producer) { return &outboxes_[producer]; }
 
-  // ---- consumer side (each called only from that consumer's thread) ----
+  // ---- consumer side (each called only from that consumer's runner) ----
 
   /// Round-robin pop across the consumer's incoming edges. Returns credits
   /// to (and wakes) a producer blocked on the popped edge.
   bool PopAny(int consumer, size_t* rr_cursor, TupleBatch* out);
 
-  /// True if any incoming edge has a batch ready.
-  bool HasWork(int consumer) const;
-
-  /// Parks the consumer until a producer rings its doorbell (bounded by a
-  /// short timeout so a lost race costs at most one period). Returns
-  /// immediately if work is already visible or the plane is closed.
-  void WaitForWork(int consumer);
-
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
-  // ---- dormant consumers (elastic scaling) ----
-  //
-  // A consumer with no worker thread (a dormant joiner slot) marks its inbox
-  // dormant; the first producer whose Doorbell observes the mark fires the
-  // wake hook exactly once per dormancy episode, and the engine spawns a
-  // worker in response. The seq_cst mark/recheck protocol mirrors the
-  // `sleeping` Dekker dance: the consumer marks dormant *then* rechecks
-  // HasWork, the producer pushes *then* checks the mark, so at least one
-  // side always notices a message that races with going dormant.
-
-  /// Installs the dormant-wake hook (called with the consumer id). Invoked
-  /// from producer threads mid-send with no plane locks held; must be cheap,
-  /// idempotent, and tolerate concurrent invocations for different
-  /// consumers. Set once before Start-time traffic; unset means dormancy is
-  /// never observed.
-  void SetWakeHook(std::function<void(int)> hook) {
-    wake_hook_ = std::move(hook);
-  }
-
-  /// Marks `consumer` dormant (no worker attached). Called by the engine at
-  /// start for dormant tasks and by a retiring worker *before* its final
-  /// HasWork recheck.
-  void MarkDormant(int consumer) {
-    inboxes_[static_cast<size_t>(consumer)].dormant.store(
-        1, std::memory_order_seq_cst);
-  }
-
-  /// Clears the dormant mark (a worker is attached again). Called by the
-  /// engine when it spawns/revives the consumer's worker.
-  void ClearDormant(int consumer) {
-    inboxes_[static_cast<size_t>(consumer)].dormant.store(
-        0, std::memory_order_seq_cst);
-  }
-
-  /// Marks the plane closed and wakes every parked consumer/producer. Call
-  /// only when quiescent (nothing buffered or in flight).
+  /// Marks the plane closed and wakes every parked producer. Call only when
+  /// quiescent (nothing buffered or in flight).
   void Close();
 
+  /// Plane-wide rollup, summed at read time from the per-edge counters and
+  /// the per-outbox flush counters (no shared counter on the hot path).
   ExchangeStatsSnapshot stats() const;
 
   /// Per-edge counters and occupancy gauges for every materialized edge,
@@ -255,24 +251,14 @@ class ExchangePlane {
     std::mutex reg_mu;           // guards edge registration (writers)
     std::vector<Edge*> edges;    // reserved up front: never reallocates
     std::atomic<size_t> n_edges{0};
-    std::atomic<int> sleeping{0};
-    // 0 = worker attached, 1 = dormant (no worker), 2 = wake hook fired,
-    // engine spawn pending. Transitions: consumer 0<->1, producer 1->2
-    // (CAS, fires the hook), engine/worker 2->0 on spawn/revive.
-    std::atomic<int> dormant{0};
-    std::mutex sleep_mu;
-    std::condition_variable sleep_cv;
-  };
-
-  // Atomic twin of ExchangeStatsSnapshot (avg_batch_fill is derived).
-  struct Stats {
-    AJOIN_EXCHANGE_FIELDS(AJOIN_TWIN_ATOMIC)
   };
 
   Edge* GetEdge(size_t producer, int consumer);
   void PushBatch(Edge& edge, TupleBatch& batch, int consumer,
                  size_t producer);
-  void Doorbell(int consumer);
+  void MarkReady(int consumer) {
+    if (scheduler_ != nullptr) scheduler_->MarkReady(consumer);
+  }
   static uint64_t NowMicros();
 
   const size_t num_tasks_;
@@ -280,9 +266,8 @@ class ExchangePlane {
   std::vector<std::atomic<Edge*>> edge_matrix_;  // num_producers() x num_tasks_
   std::vector<Inbox> inboxes_;
   std::vector<Outbox> outboxes_;
-  std::function<void(int)> wake_hook_;
+  Scheduler* scheduler_ = nullptr;
   std::atomic<bool> closed_{false};
-  Stats stats_;
 };
 
 }  // namespace ajoin

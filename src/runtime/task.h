@@ -33,6 +33,14 @@
 // An override that cannot handle a particular batch shape (e.g. a joiner in
 // migration mode that needs per-envelope Δ/Δ' bookkeeping) must delegate to
 // Task::OnBatch, which preserves exact per-envelope semantics.
+//
+// Blocking contract: a task never waits inside OnMessage/OnBatch for another
+// task's progress (no locks held across messages, no polling for state
+// another task writes). The one in-handler wait is the threaded engine's
+// credit wait inside Context::Send/SendBatch, and it helps: when no other
+// worker holds the consumer, the sending worker runs the consumer's slice
+// inline. A task runs on whichever pool worker claims it, one worker at a
+// time, so its state needs no synchronization of its own.
 
 #pragma once
 
@@ -86,16 +94,6 @@ class Task {
       OnMessage(std::move(msg), ctx);
     }
   }
-
-  /// True while this task is a passive slot that expects no messages in the
-  /// steady state (e.g. a joiner outside its group's live grid, waiting for
-  /// an elastic expansion). Engines may use this as a scheduling hint — the
-  /// threaded engine parks dormant tasks without a worker thread and wakes
-  /// one on the first message — but dormancy never affects delivery: a
-  /// message sent to a dormant task is always processed. Read from engine
-  /// threads between dispatches; implementations must only depend on state
-  /// written by this task's own OnMessage/OnBatch calls.
-  virtual bool dormant() const { return false; }
 };
 
 /// Point-in-time ingress telemetry (see IngressPort::stats). Counters are
@@ -204,14 +202,6 @@ class Engine {
 
   /// Access to a task for post-run inspection. Only valid when quiescent.
   virtual Task* task(int id) = 0;
-
-  /// Hints that task `id` is about to receive work and should get execution
-  /// resources now (the threaded engine spawns the worker of a dormant slot
-  /// eagerly instead of waiting for its first doorbell). Purely an
-  /// optimization: engines that dispatch dormant tasks anyway (the
-  /// simulator) ignore it. Callable from any thread between Start() and
-  /// Shutdown().
-  virtual void ActivateTask(int id) { (void)id; }
 
   /// Monotonic time in microseconds (logical on the simulator, wall-clock
   /// on the threaded engine).

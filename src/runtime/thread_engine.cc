@@ -1,13 +1,30 @@
 #include "src/runtime/thread_engine.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <chrono>
 
 #include "src/common/status.h"
 #include "src/common/stopwatch.h"
 
 namespace ajoin {
 
-// Context handed to tasks in batched mode: sends go through the worker's
+namespace {
+/// How long an idle worker parks before re-checking the run queue. Enqueue
+/// notifies under the queue lock, so the timeout is only a backstop.
+constexpr std::chrono::milliseconds kIdleParkTimeout{1};
+
+/// CPUs this process may run on (at least 1).
+size_t AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
+}
+}  // namespace
+
+// Context handed to a task while it runs: sends go through the task's
 // outbox (batched, credit-controlled). In-flight accounting happens here so
 // envelopes buffered in a batcher still count toward quiescence.
 class ThreadEngine::BatchedContext : public Context {
@@ -120,96 +137,86 @@ void ThreadEngine::Start() {
   AJOIN_CHECK_MSG(!started_, "double Start");
   started_ = true;
   plane_ = std::make_unique<ExchangePlane>(tasks_.size(), exchange_config_);
-  plane_->SetWakeHook([this](int id) { WakeTask(id); });
-  worker_slots_ = std::vector<WorkerSlot>(tasks_.size());
-  std::lock_guard<std::mutex> lock(workers_mu_);
-  for (size_t i = 0; i < tasks_.size(); ++i) {
-    // Dormant tasks (elastic-scaling spare slots) get no thread up front;
-    // the plane's dormant-wake hook spawns one on their first message.
-    if (tasks_[i]->dormant()) {
-      plane_->MarkDormant(static_cast<int>(i));
+  plane_->SetScheduler(this);
+  runs_ = std::make_unique<TaskRun[]>(tasks_.size());
+  // Every task starts idle; its first message queues it.
+  const size_t pool = std::min(AffinityCpus(), tasks_.size());
+  workers_.reserve(pool);
+  for (size_t i = 0; i < pool; ++i) {
+    workers_.emplace_back([this] { WorkerMain(); });
+  }
+}
+
+void ThreadEngine::MarkReady(int consumer) {
+  if (runs_[static_cast<size_t>(consumer)].state.MarkReady()) {
+    Enqueue(consumer);
+  }
+}
+
+bool ThreadEngine::Help(int consumer) {
+  if (!runs_[static_cast<size_t>(consumer)].state.Claim()) return false;
+  RunSlice(consumer);
+  return true;
+}
+
+void ThreadEngine::Enqueue(int id) {
+  bool wake;
+  {
+    std::lock_guard<std::mutex> lock(run_mu_);
+    run_queue_.push_back(id);
+    wake = parked_workers_ > 0;
+  }
+  if (wake) run_cv_.notify_one();
+}
+
+void ThreadEngine::WorkerMain() {
+  while (true) {
+    int id;
+    {
+      std::unique_lock<std::mutex> lock(run_mu_);
+      while (run_queue_.empty()) {
+        if (stopping_) return;
+        ++parked_workers_;
+        // ajoin-lint: timed-park — an idle worker holds no task, and
+        // Enqueue notifies under run_mu_; the timeout is a backstop.
+        run_cv_.wait_for(lock, kIdleParkTimeout);
+        --parked_workers_;
+      }
+      id = run_queue_.front();
+      run_queue_.pop_front();
+    }
+    if (runs_[static_cast<size_t>(id)].state.Claim()) RunSlice(id);
+  }
+}
+
+void ThreadEngine::RunSlice(int id) {
+  TaskRun& run = runs_[static_cast<size_t>(id)];
+  ExchangePlane::Outbox* outbox = plane_->outbox(static_cast<size_t>(id));
+  BatchedContext ctx(this, id, outbox);
+  Task* task = tasks_[static_cast<size_t>(id)].get();
+  TupleBatch batch;
+  for (uint32_t done = 0; done < kSliceBatches;) {
+    if (plane_->PopAny(id, &run.cursor, &batch)) {
+      const uint64_t n = batch.size();
+      // Hand the whole batch to the task: one virtual call (and one shot
+      // at the operator's batch specializations) per batch.
+      task->OnBatch(std::move(batch), ctx);
+      batch.Clear();
+      DecInflight(n);
+      // One clock read per processed batch drives the deadline flushes
+      // (skipped entirely while nothing is buffered).
+      if (outbox->has_pending()) outbox->FlushExpired(NowMicros());
+      ++done;
       continue;
     }
-    SpawnWorkerLocked(static_cast<int>(i));
+    // Inbox ran dry: publish everything buffered before going idle, so
+    // counted-but-buffered envelopes always drain (quiescence), then go
+    // idle unless a producer marked the task again meanwhile.
+    outbox->FlushAll();
+    if (run.state.TryIdle()) return;
   }
-}
-
-void ThreadEngine::SpawnWorkerLocked(int id) {
-  WorkerSlot& slot = worker_slots_[static_cast<size_t>(id)];
-  if (slot.thread.joinable()) slot.thread.join();  // reap a kExited thread
-  slot.state = WorkerState::kRunning;
-  slot.wake_pending = false;
-  if (plane_ != nullptr) plane_->ClearDormant(id);
-  activations_.fetch_add(1, std::memory_order_relaxed);
-  slot.thread = std::thread([this, id] { WorkerLoop(id); });
-}
-
-void ThreadEngine::WakeTask(int id) {
-  std::lock_guard<std::mutex> lock(workers_mu_);
-  // Refusing during shutdown is safe: a message that still needs this task
-  // keeps inflight > 0, so Shutdown's WaitQuiescent cannot have passed, so
-  // closing_ cannot be set yet.
-  if (closing_) return;
-  WorkerSlot& slot = worker_slots_[static_cast<size_t>(id)];
-  switch (slot.state) {
-    case WorkerState::kRunning:
-      return;  // already attached (or a concurrent wake won)
-    case WorkerState::kExiting:
-      slot.wake_pending = true;  // the exiting worker revives itself
-      return;
-    case WorkerState::kExited:
-    case WorkerState::kUnspawned:
-      SpawnWorkerLocked(id);
-      return;
-  }
-}
-
-void ThreadEngine::ActivateTask(int id) {
-  AJOIN_CHECK_MSG(id >= 0 && id < static_cast<int>(tasks_.size()),
-                  "ActivateTask: unknown task");
-  if (plane_ == nullptr) return;  // before Start
-  WakeTask(id);
-}
-
-size_t ThreadEngine::live_workers() const {
-  std::lock_guard<std::mutex> lock(workers_mu_);
-  size_t n = 0;
-  for (const WorkerSlot& slot : worker_slots_) {
-    if (slot.state == WorkerState::kRunning ||
-        slot.state == WorkerState::kExiting) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-bool ThreadEngine::RetireWorker(int id) {
-  WorkerSlot& slot = worker_slots_[static_cast<size_t>(id)];
-  {
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    slot.state = WorkerState::kExiting;
-  }
-  plane_->MarkDormant(id);
-  // Dekker recheck, mirroring WaitForWork's sleeping protocol: a producer
-  // that pushed before observing the dormant mark rings no wake hook, so
-  // its message must be caught here, after the seq_cst mark.
-  if (plane_->HasWork(id) || plane_->closed()) {
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    slot.state = WorkerState::kRunning;
-    slot.wake_pending = false;
-    plane_->ClearDormant(id);
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(workers_mu_);
-  if (slot.wake_pending) {  // a wake hook fired between mark and here
-    slot.state = WorkerState::kRunning;
-    slot.wake_pending = false;
-    plane_->ClearDormant(id);
-    return false;
-  }
-  slot.state = WorkerState::kExited;
-  retirements_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  run.state.Requeue();
+  Enqueue(id);
 }
 
 std::unique_ptr<IngressPort> ThreadEngine::OpenIngress(int to) {
@@ -338,40 +345,6 @@ void ThreadEngine::FlushAllPorts() {
   }
 }
 
-void ThreadEngine::WorkerLoop(int id) {
-  ExchangePlane::Outbox* outbox = plane_->outbox(static_cast<size_t>(id));
-  BatchedContext ctx(this, id, outbox);
-  Task* task = tasks_[static_cast<size_t>(id)].get();
-  size_t cursor = 0;
-  TupleBatch batch;
-  while (true) {
-    if (plane_->PopAny(id, &cursor, &batch)) {
-      const uint64_t n = batch.size();
-      // Hand the whole batch to the task: one virtual call (and one shot
-      // at the operator's batch specializations) per batch.
-      task->OnBatch(std::move(batch), ctx);
-      batch.Clear();
-      DecInflight(n);
-      // One clock read per processed batch drives the deadline flushes
-      // (skipped entirely while nothing is buffered).
-      if (outbox->has_pending()) outbox->FlushExpired(NowMicros());
-      continue;
-    }
-    // Inbox ran dry: publish everything we have buffered before parking, so
-    // counted-but-buffered envelopes always drain (quiescence correctness).
-    outbox->FlushAll();
-    if (plane_->HasWork(id)) continue;
-    if (plane_->closed()) return;
-    if (task->dormant()) {
-      // Dormant slot with a dry inbox: give the thread back (elastic
-      // scaling). RetireWorker revives instead when a message raced in.
-      if (RetireWorker(id)) return;
-      continue;
-    }
-    plane_->WaitForWork(id);
-  }
-}
-
 void ThreadEngine::IncInflight(uint64_t n) {
   inflight_.fetch_add(n, std::memory_order_relaxed);
 }
@@ -413,26 +386,19 @@ void ThreadEngine::Shutdown() {
   if (!started_ || shut_down_.exchange(true, std::memory_order_acq_rel)) {
     return;
   }
-  // The flag is up before the final drain, so ports and the Post shim start
-  // rejecting while everything already accepted still gets processed.
+  // The flag is up before the final drain, so ports start rejecting while
+  // everything already accepted still gets processed.
   WaitQuiescent();
-  {
-    // Quiescent: every accepted message is processed, so any wake hook
-    // still in flight is spurious — refuse further spawns, then close.
-    std::lock_guard<std::mutex> lock(workers_mu_);
-    closing_ = true;
-  }
   plane_->Close();
-  for (WorkerSlot& slot : worker_slots_) {
-    std::thread t;
-    {
-      // Spawns hold workers_mu_ and check closing_, so after this point the
-      // handle cannot be replaced behind our back.
-      std::lock_guard<std::mutex> lock(workers_mu_);
-      t = std::move(slot.thread);
-    }
-    if (t.joinable()) t.join();
+  {
+    // Quiescent: every accepted message is processed. A worker may still be
+    // finishing the slice whose last batch it just counted; it exits once
+    // the run queue is empty.
+    std::lock_guard<std::mutex> lock(run_mu_);
+    stopping_ = true;
   }
+  run_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 ExchangeStatsSnapshot ThreadEngine::exchange_stats() const {

@@ -1,44 +1,60 @@
-// Multithreaded engine: one worker thread per task, on the src/exchange/
-// data plane — per-edge bounded lock-free SPSC rings carrying TupleBatches,
-// with size/deadline/control batching and credit-based backpressure. A slow
-// joiner stalls only the edges feeding it; the driver blocks only when the
-// specific ingress edge it is posting on is out of credits. Consumed batches
-// are handed to Task::OnBatch whole, so operators with batch specializations
-// (reshuffler routing, joiner store/probe) skip the per-envelope dispatch
-// entirely; tasks without one fall back to Task::OnBatch's default
-// per-envelope loop. (The original per-tuple mutex+deque Channel plane is
-// retired; ExchangeConfig with batch_size = 1 is the per-tuple reference
-// configuration.)
+// Multithreaded engine: tasks run M:N on a pool of W worker threads, one
+// per CPU in the process affinity mask (capped at the task count), on the
+// src/exchange/ data plane — per-edge bounded lock-free SPSC rings carrying
+// TupleBatches, with size/deadline/control batching and credit-based
+// backpressure. A slow joiner stalls only the edges feeding it; the driver
+// blocks only when the specific ingress edge it is posting on is out of
+// credits. Consumed batches are handed to Task::OnBatch whole, so operators
+// with batch specializations (reshuffler routing, joiner store/probe) skip
+// the per-envelope dispatch entirely; tasks without one fall back to
+// Task::OnBatch's default per-envelope loop. (ExchangeConfig with
+// batch_size = 1 is the per-tuple reference configuration.)
+//
+// Scheduling: each task has one RunState word (run_state.h). A push marks
+// the consumer ready; an idle task becomes queued and goes on the shared run
+// queue, from which workers claim it. A task runs until its inbox is dry,
+// then flushes its outbox and goes idle; after kSliceBatches batches it is
+// requeued instead, so one busy task cannot starve the rest. Idle workers
+// park on the run queue; a dormant joiner slot is just an idle task.
+//
+// Contract for tasks: a task never waits inside OnMessage/OnBatch for
+// another task's progress. The only in-handler wait is the exchange's
+// credit wait, and it helps: a worker task out of credits on an edge runs
+// the consumer inline when no other worker holds it (ExchangePlane::
+// Scheduler::Help), and parks only when one does. Credit edges point at
+// higher task ids, so nested tasks on a worker's stack have increasing ids
+// and the system stays deadlock-free for any W >= 1.
 //
 // Quiescence: an in-flight envelope counter incremented at send (including
 // envelopes still buffered in a batcher) and decremented once per consumed
-// batch. Workers flush their own outboxes whenever their inbox runs dry,
-// so counted-but-buffered envelopes always drain.
+// batch. A task flushes its outbox whenever its inbox runs dry, so
+// counted-but-buffered envelopes always drain.
 //
 // Ingress: OpenIngress hands out IngressPort handles, each owning a
 // dedicated external producer slot in the plane (its own per-consumer SPSC
 // rings, batcher, and credit accounts), so N driver threads holding N ports
 // never contend with each other. A port carries a private mutex, but it only
 // serializes the port's single producer against the engine's WaitQuiescent
-// port sweep — ports never share a lock. (The old single-entry Engine::Post
-// shim — one shared default port whose lock was the global ingress mutex —
-// is retired; ports are the only way in.)
+// port sweep — ports never share a lock. Port threads are not pool workers:
+// out of credits, they park.
 
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "src/exchange/exchange.h"
+#include "src/runtime/run_state.h"
 #include "src/runtime/task.h"
 
 namespace ajoin {
 
-class ThreadEngine : public Engine {
+class ThreadEngine : public Engine, private ExchangePlane::Scheduler {
  public:
   /// Batched exchange with default config.
   ThreadEngine();
@@ -48,16 +64,24 @@ class ThreadEngine : public Engine {
 
   ~ThreadEngine() override;
 
+  /// Registers a task before Start(); ids ascend in call order.
   int AddTask(std::unique_ptr<Task> task) override;
+  /// Builds the exchange plane and starts the worker pool. Every task
+  /// starts idle; its first message queues it.
   void Start() override;
   /// Opens a dedicated ingress lane (see IngressPort in task.h). Requires
   /// Start() first and a free slot (ExchangeConfig::max_ingress_ports).
   std::unique_ptr<IngressPort> OpenIngress(int to) override;
   /// Registered task count (the next id AddTask assigns).
   size_t num_tasks() const override { return tasks_.size(); }
+  /// Blocks until no envelope is in flight, sweeping ingress ports.
   void WaitQuiescent() override;
+  /// Drains (WaitQuiescent), closes the plane and joins the pool. Posts
+  /// reject from the moment it starts.
   void Shutdown() override;
+  /// Post-run inspection; only valid when quiescent.
   Task* task(int id) override { return tasks_[static_cast<size_t>(id)].get(); }
+  /// Wall-clock steady_clock microseconds.
   uint64_t NowMicros() const override;
 
   /// Exchange-plane counters.
@@ -66,51 +90,34 @@ class ThreadEngine : public Engine {
   /// Callable from any thread — the TelemetrySampler's edge source.
   std::vector<EdgeStatsSnapshot> edge_stats() const;
 
-  /// Eagerly attaches a worker to task `id` if it is currently parked
-  /// dormant (see Task::dormant). Callable from any thread between
-  /// Start() and Shutdown(). Redundant calls are no-ops — the same state
-  /// machine also runs from the exchange plane's dormant-wake hook, so a
-  /// message racing this call cannot double-spawn.
-  void ActivateTask(int id) override;
-
-  /// Worker threads currently attached (running or winding down); dormant
-  /// slots have none.
-  size_t live_workers() const;
-  /// Cumulative worker spawns (including Start-time ones) — grows by one
-  /// every time a dormant slot is woken. Test/telemetry accessor.
-  uint64_t worker_activations() const {
-    return activations_.load(std::memory_order_relaxed);
-  }
-  /// Cumulative dormant self-retirements of workers. Test/telemetry
-  /// accessor.
-  uint64_t worker_retirements() const {
-    return retirements_.load(std::memory_order_relaxed);
-  }
+  /// Pool worker threads (W: CPUs in the affinity mask, capped at the task
+  /// count). Fixed from Start() to Shutdown(); 0 before Start.
+  size_t num_workers() const { return workers_.size(); }
 
  private:
   class BatchedContext;
   class PortImpl;
 
-  /// Worker attachment lifecycle of one task slot (guarded by workers_mu_).
-  /// kUnspawned -> kRunning (Start or first wake); kRunning -> kExiting ->
-  /// kExited (dormant self-retirement) or back to kRunning (revived by a
-  /// racing message); kExited -> kRunning (join + respawn on wake).
-  enum class WorkerState : uint8_t { kUnspawned, kRunning, kExiting, kExited };
-  struct WorkerSlot {
-    std::thread thread;
-    WorkerState state = WorkerState::kUnspawned;
-    bool wake_pending = false;  // wake arrived while the worker was exiting
+  /// Batches one task runs per claim before it is requeued (fairness cap).
+  static constexpr uint32_t kSliceBatches = 32;
+
+  /// Per-task scheduling state. The cursor is touched only by the task's
+  /// current runner, ordered across runners by the RunState word.
+  struct alignas(64) TaskRun {
+    RunState state;
+    size_t cursor = 0;  // PopAny round-robin position
   };
 
-  void WorkerLoop(int id);
-  /// Spawns (or respawns) task `id`'s worker. Caller holds workers_mu_.
-  void SpawnWorkerLocked(int id);
-  /// The dormant-wake state machine (doorbell hook + ActivateTask).
-  void WakeTask(int id);
-  /// Dormant self-retirement attempt: marks the inbox dormant, re-checks
-  /// for racing messages, and either detaches this worker (true — the
-  /// caller must return) or revives it (false — keep looping).
-  bool RetireWorker(int id);
+  // ExchangePlane::Scheduler: a push marks its consumer ready; a worker task
+  // out of credits helps the consumer when no other worker holds it.
+  void MarkReady(int consumer) override;
+  bool Help(int consumer) override;
+
+  void WorkerMain();
+  /// Runs one slice of task `id`, which the caller has claimed.
+  void RunSlice(int id);
+  /// Puts a queued task on the run queue and wakes a parked worker.
+  void Enqueue(int id);
   void IncInflight(uint64_t n = 1);
   void DecInflight(uint64_t n = 1);
 
@@ -125,11 +132,17 @@ class ThreadEngine : public Engine {
   ExchangeConfig exchange_config_;
 
   std::vector<std::unique_ptr<Task>> tasks_;
-  mutable std::mutex workers_mu_;      // worker slot states + closing_
-  std::vector<WorkerSlot> worker_slots_;
-  bool closing_ = false;               // Shutdown: refuse new spawns
-  std::atomic<uint64_t> activations_{0};
-  std::atomic<uint64_t> retirements_{0};
+  std::unique_ptr<TaskRun[]> runs_;  // one per task
+  std::vector<std::thread> workers_;
+
+  // Run queue: ids of queued tasks. A helper may run a queued task first,
+  // leaving a stale id that fails Claim when popped.
+  std::mutex run_mu_;
+  std::condition_variable run_cv_;
+  std::deque<int> run_queue_;   // guarded by run_mu_
+  size_t parked_workers_ = 0;   // guarded by run_mu_
+  bool stopping_ = false;       // guarded by run_mu_
+
   std::atomic<uint64_t> inflight_{0};
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;

@@ -16,8 +16,9 @@
 //    indexes: output must be byte-identical to the fixed-size reference
 //    run — the migration protocol must never lose, duplicate, or reorder a
 //    result while the grid is reshaped mid-stream.
-//  * Threaded lifecycle/TSan tests exercise dormant-slot worker
-//    activation/retirement under load with continuous telemetry snapshots,
+//  * Threaded lifecycle/TSan tests exercise dormant slots joining and
+//    leaving the grid on the fixed worker pool, under load with continuous
+//    telemetry snapshots,
 //    and the telemetry tombstone regression (retired slots keep their
 //    counters with active=0; scale events reach the trace ring and the
 //    JSON export).
@@ -26,6 +27,7 @@
 //    the output is still exact.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -555,6 +557,15 @@ uint32_t CountActive(const MetricsRegistry& registry,
   return active;
 }
 
+// CPUs this process may run on; ThreadEngine sizes its pool from the same
+// affinity mask.
+size_t AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
+}
+
 TEST(AutoscaleThread, DormantSlotsActivateAndRetireWithTheGrid) {
   JoinSpec spec = MakeEquiJoin(0, 0);
   auto stream = MakeStream(600, 1800, 24, 101);
@@ -572,34 +583,33 @@ TEST(AutoscaleThread, DormantSlotsActivateAndRetireWithTheGrid) {
   cfg.registry = &registry;
   JoinOperator op(engine, cfg);
   engine.Start();
-  // Only live tasks get workers at Start: 4 reshufflers + 4 live joiners.
-  EXPECT_EQ(engine.live_workers(), 8u);
+  // Dormant slots are idle tasks: the pool is sized once from the affinity
+  // mask (capped at the task count) and never grows or shrinks with the grid.
+  const size_t pool = std::min(AffinityCpus(), engine.num_tasks());
+  EXPECT_EQ(engine.num_workers(), pool);
   EXPECT_EQ(CountActive(registry, op.joiner_task_ids()), 4u);
 
   const size_t third = stream.size() / 3;
   for (size_t i = 0; i < third; ++i) op.Push(stream[i]);
   ASSERT_TRUE(op.GrowJoiners(1));
   for (size_t i = third; i < 2 * third; ++i) op.Push(stream[i]);
-  // The 12 dormant slots wake via the exchange doorbell hook and join the
+  // The 12 dormant slots are queued by their first message and join the
   // grid; the expansion migration flips their telemetry to active.
   EXPECT_TRUE(PollUntil(
       [&] { return CountActive(registry, op.joiner_task_ids()) == 16; },
       /*timeout_ms=*/10000));
-  EXPECT_GE(engine.worker_activations(), 8u + 12u);
+  EXPECT_EQ(engine.num_workers(), pool);
 
   ASSERT_TRUE(op.ShrinkJoiners(1));
   for (size_t i = 2 * third; i < stream.size(); ++i) op.Push(stream[i]);
   op.SendEos();
   engine.WaitQuiescent();
-  // Retired slots republish as inactive, go dormant, and their workers
-  // self-retire once their inboxes run dry.
+  // Retired slots republish as inactive and go idle once their inboxes run
+  // dry.
   EXPECT_TRUE(PollUntil(
       [&] { return CountActive(registry, op.joiner_task_ids()) == 4; },
       /*timeout_ms=*/10000));
-  EXPECT_TRUE(PollUntil([&] { return engine.live_workers() == 8; },
-                        /*timeout_ms=*/10000))
-      << "live workers: " << engine.live_workers();
-  EXPECT_GE(engine.worker_retirements(), 12u);
+  EXPECT_EQ(engine.num_workers(), pool);
 
   EXPECT_EQ(op.CollectPairs(), want);
   engine.Shutdown();
@@ -610,7 +620,7 @@ TEST(AutoscaleThread, DormantSlotsActivateAndRetireWithTheGrid) {
 TEST(AutoscaleThread, ContinuousTelemetryDuringElasticScaling) {
   // Tiny batches + a 2-slot credit window while the grid grows and shrinks
   // under load: a sampler thread and a snapshot-hammering thread race the
-  // scale migrations and worker activations/retirements. Cumulative
+  // scale migrations and slots going busy and idle. Cumulative
   // counters must stay monotone across snapshots and the final snapshot
   // must equal the quiescent harvest — including the tombstoned retirees.
   JoinSpec spec = MakeEquiJoin(0, 0);

@@ -4,8 +4,8 @@
 //    race detector, deadlock detector, PCT seed determinism). These run in
 //    every build: the harness is always compiled.
 //  * ModelCheckCores — the instrumented lock-free cores (BatchRing,
-//    SeqlockCell, TraceRing, the exchange credit ledger), including the
-//    seeded-mutation "teeth" checks. These need -DAJOIN_MODELCHECK (the CI
+//    SeqlockCell, TraceRing, the exchange credit ledger, the worker pool's
+//    RunState word), including the seeded-mutation "teeth" checks. These need -DAJOIN_MODELCHECK (the CI
 //    modelcheck job); elsewhere they skip.
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include "src/exchange/batch_ring.h"
 #include "src/exchange/exchange.h"
 #include "src/runtime/metrics_registry.h"
+#include "src/runtime/run_state.h"
 #endif
 
 namespace ajoin {
@@ -541,6 +542,105 @@ TEST(ModelCheckCores, ExchangeCreditLedgerPct) {
   const ExploreResult res =
       check::Explore(Pct(2000, /*seed=*/23), ExchangeCreditScenario);
   EXPECT_FALSE(res.failed) << res.message << " seed " << res.failing_seed;
+}
+
+// RunState: one task whose inbox is a BatchRing, and three parties — a
+// producer that pushes two batches and marks the task ready after each
+// (counting a run-queue entry when MarkReady says it was idle), a pool
+// worker that pops one run-queue entry and runs the task if its Claim
+// wins, and a helper that claims the queued task directly. A run drains
+// the inbox, then tries to go idle, draining again when notified. The
+// body then plays a last worker that pops every entry left. At most one
+// runner may hold the task (a counter, plus the race detector on the plain
+// task state), and no batch may be left stranded in the inbox of an idle
+// task: after the last worker, both batches must have been drained.
+struct RunStateModel {
+  RunState state;
+  BatchRing inbox{2};
+  check::ModelAtomic<uint32_t> queue_entries{0};
+  check::ModelAtomic<uint32_t> queue_pops{0};
+  check::ModelAtomic<uint32_t> runners{0};
+  uint64_t drained = 0;  // plain task state
+};
+RunStateModel* g_run;
+constexpr uint64_t kRunBatches = 2;
+
+void EnterRun() {
+  check::ModelAssert(g_run->runners.fetch_add(1, std::memory_order_acq_rel) == 0,
+                     "two runners hold one task");
+}
+
+void RunClaimedTask() {
+  EnterRun();
+  while (true) {
+    TupleBatch out;
+    while (g_run->inbox.TryPop(&out)) {
+      check::PlainWrite(&g_run->drained, "task state");
+      ++g_run->drained;
+    }
+    g_run->runners.fetch_sub(1, std::memory_order_acq_rel);
+    if (g_run->state.TryIdle()) return;
+    EnterRun();
+  }
+}
+
+void PopRunQueueEntry() {
+  g_run->queue_pops.fetch_add(1, std::memory_order_acq_rel);
+  if (g_run->state.Claim()) RunClaimedTask();
+}
+
+void RunStateScenario() {
+  delete g_run;  // reclaim an aborted execution's leftovers
+  g_run = new RunStateModel();
+  check::Spawn([] {  // producer
+    for (uint64_t i = 0; i < kRunBatches; ++i) {
+      TupleBatch b(MakeInput(Rel::kR, /*key=*/static_cast<int64_t>(i),
+                             /*bytes=*/8, /*seq=*/i));
+      while (!g_run->inbox.TryPush(b)) check::BlockedPoint("credit wait");
+      if (g_run->state.MarkReady()) {
+        g_run->queue_entries.fetch_add(1, std::memory_order_acq_rel);
+      }
+    }
+  });
+  check::Spawn([] {  // pool worker
+    while (g_run->queue_entries.load(std::memory_order_acquire) == 0) {
+      check::BlockedPoint("run queue empty");
+    }
+    PopRunQueueEntry();
+  });
+  check::Spawn([] {  // helper
+    if (g_run->state.Claim()) RunClaimedTask();
+  });
+  check::JoinAll();
+  while (g_run->queue_pops.load(std::memory_order_acquire) <
+         g_run->queue_entries.load(std::memory_order_acquire)) {
+    PopRunQueueEntry();
+  }
+  check::ModelAssert(g_run->drained == kRunBatches,
+                     "batch stranded in the inbox of an idle task");
+  delete g_run;
+  g_run = nullptr;
+}
+
+TEST(ModelCheckCores, RunStateOneRunnerNoStrandedBatchExhaustive) {
+  const ExploreResult res = check::Explore(
+      Exhaustive(/*max_executions=*/400000), RunStateScenario);
+  EXPECT_FALSE(res.failed) << res.message << " schedule "
+                           << res.ScheduleString();
+  EXPECT_TRUE(res.exhausted) << "budget too small: " << res.executions;
+}
+
+// Teeth: an idle transition that ignores the notified bit drops the mark of
+// a batch pushed while the runner was between its last pop and TryIdle —
+// the task goes idle with that batch in its inbox and no run-queue entry.
+TEST(ModelCheckCores, RunStateIdleMutationCaught) {
+  MutationGuard guard(check::Mutation::kRunStateIdleIgnoresNotified);
+  const ExploreResult res = check::Explore(
+      Exhaustive(/*max_executions=*/400000), RunStateScenario);
+  ASSERT_TRUE(res.failed) << "idle transition ignoring the notified bit not "
+                             "caught in "
+                          << res.executions << " executions";
+  EXPECT_NE(res.message.find("stranded"), std::string::npos) << res.message;
 }
 
 #else  // !AJOIN_MODELCHECK

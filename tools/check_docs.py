@@ -10,7 +10,9 @@
    documented where implementers see it.
 3. Every public method of the external API classes must carry a doc
    comment: IngressPort/Engine in src/runtime/task.h (post-Shutdown
-   rejection contract, per-port threading rules), the OperatorShell
+   rejection contract, per-port threading rules), ThreadEngine in
+   src/runtime/thread_engine.h and RunState in src/runtime/run_state.h
+   (worker-pool sizing, the run-state transitions), the OperatorShell
    ingress/egress shell, OperatorControl, Operator and the two join
    facades in src/core/operator.h (egress routing / id-ordering contract),
    EpochProtocol in src/core/epoch_protocol.h (the per-slot migration
@@ -84,6 +86,8 @@ def check_onbatch_doc_comments():
 # (header, classes) pairs whose public methods must carry doc comments.
 API_SURFACES = (
     ("src/runtime/task.h", ("IngressPort", "Engine")),
+    ("src/runtime/thread_engine.h", ("ThreadEngine",)),
+    ("src/runtime/run_state.h", ("RunState",)),
     ("src/core/operator.h", ("OperatorShell", "OperatorControl", "Operator",
                              "JoinOperator", "ShjOperator")),
     ("src/core/epoch_protocol.h", ("EpochProtocol",)),
