@@ -2,7 +2,7 @@
 // configuration since the mutex Channel plane's retirement) vs. batched
 // (src/exchange/) shipping, across batch sizes and thread counts. The engine
 // hands whole batches to Task::OnBatch, so reshuffler routing and joiner
-// store/probe run their one-pass batch specializations.
+// store/probe run their data paths over whole batches.
 //
 // Three sections:
 //  1. raw fan-out — an external producer round-robins envelopes over N sink

@@ -66,12 +66,19 @@ AggRouterCore::AggRouterCore(Config config) : config_(std::move(config)) {
   if (config_.index == 0) part_loads_.assign(config_.partitions, 0);
 }
 
-void AggRouterCore::OnMessage(Envelope msg, Context& ctx) {
+void AggRouterCore::OnBatch(TupleBatch batch, Context& ctx) {
+  if (batch.empty()) return;
+  if (IsControlMsg(batch.items.front().type)) {
+    AJOIN_CHECK(batch.size() == 1 && "control inside a data batch");
+    HandleControl(batch.items.front(), ctx);
+  } else {
+    for (Envelope& msg : batch.items) Route(msg, ctx);
+  }
+  Publish();
+}
+
+void AggRouterCore::HandleControl(const Envelope& msg, Context& ctx) {
   switch (msg.type) {
-    case MsgType::kInput:
-    case MsgType::kResult:
-      Route(msg, ctx);
-      break;
     case MsgType::kEpochChange:
       HandleEpochChange(msg, ctx);
       break;
@@ -104,22 +111,15 @@ void AggRouterCore::OnMessage(Envelope msg, Context& ctx) {
     default:
       AJOIN_CHECK(false && "unexpected message type at agg router");
   }
-  Publish();
-}
-
-void AggRouterCore::OnBatch(TupleBatch batch, Context& ctx) {
-  for (const Envelope& msg : batch.items) {
-    if (msg.type != MsgType::kInput && msg.type != MsgType::kResult) {
-      Task::OnBatch(std::move(batch), ctx);  // control: per-envelope path
-      return;
-    }
-  }
-  for (Envelope& msg : batch.items) Route(msg, ctx);
-  Publish();
 }
 
 void AggRouterCore::Route(Envelope& msg, Context& ctx) {
-  if (msg.type == MsgType::kResult) ++metrics_.results_restamped;
+  if (msg.type == MsgType::kResult) {
+    ++metrics_.results_restamped;
+  } else {
+    AJOIN_CHECK(msg.type == MsgType::kInput &&
+                "unexpected message type at agg router");
+  }
   int64_t key = msg.key;
   if (config_.key_col >= 0) {
     AJOIN_CHECK(msg.has_row);
@@ -274,14 +274,27 @@ AggWorkerCore::AggWorkerCore(Config config)
   }
 }
 
-void AggWorkerCore::OnMessage(Envelope msg, Context& ctx) {
+void AggWorkerCore::OnBatch(TupleBatch batch, Context& ctx) {
+  if (batch.empty()) return;
+  if (IsControlMsg(batch.items.front().type)) {
+    AJOIN_CHECK(batch.size() == 1 && "control inside a data batch");
+    HandleControl(batch.items.front(), ctx);
+  } else {
+    for (const Envelope& msg : batch.items) {
+      if (msg.type == MsgType::kData) {
+        MergeTuple(msg, ctx);
+      } else {
+        AJOIN_CHECK(msg.type == MsgType::kMigrate &&
+                    "unexpected message type at agg worker");
+        HandleMigrate(msg);
+      }
+    }
+  }
+  Publish();
+}
+
+void AggWorkerCore::HandleControl(const Envelope& msg, Context& ctx) {
   switch (msg.type) {
-    case MsgType::kData:
-      MergeTuple(msg, ctx);
-      break;
-    case MsgType::kMigrate:
-      HandleMigrate(msg);
-      break;
     case MsgType::kMigEnd:
       protocol_.OnMigEnd(ctx);
       break;
@@ -296,18 +309,6 @@ void AggWorkerCore::OnMessage(Envelope msg, Context& ctx) {
     default:
       AJOIN_CHECK(false && "unexpected message type at agg worker");
   }
-  Publish();
-}
-
-void AggWorkerCore::OnBatch(TupleBatch batch, Context& ctx) {
-  for (const Envelope& msg : batch.items) {
-    if (msg.type != MsgType::kData) {
-      Task::OnBatch(std::move(batch), ctx);  // control: per-envelope path
-      return;
-    }
-  }
-  for (const Envelope& msg : batch.items) MergeTuple(msg, ctx);
-  Publish();
 }
 
 void AggWorkerCore::MergeTuple(const Envelope& msg, Context& ctx) {

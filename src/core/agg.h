@@ -166,12 +166,12 @@ class AggRouterCore : public Task {
 
   explicit AggRouterCore(Config config);
 
-  /// Control lane: migration acks, EOS notes, and (router 0) the
-  /// controller duty — rebalance decisions and the flush barrier.
-  void OnMessage(Envelope msg, Context& ctx) override;
-  /// Data lane: restamps each kInput/kResult envelope as kData with the
-  /// group key, hash tag, current epoch, and owning partition, then
-  /// forwards it to the partition's assigned worker.
+  /// The router's one dispatch (task.h invariants). A control singleton —
+  /// epoch change, EOS, EOS note, ack, flush — goes to the control switch,
+  /// where router 0 also runs the controller duty's flush barrier. A data
+  /// batch restamps each kInput/kResult envelope as kData with the group
+  /// key, hash tag, current epoch, and owning partition, then forwards it
+  /// to the partition's assigned worker.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   /// Wiring-time (Dataflow::Connect): this router will receive `n` more
@@ -192,6 +192,7 @@ class AggRouterCore : public Task {
   uint64_t rebalances() const { return rebalances_; }
 
  private:
+  void HandleControl(const Envelope& msg, Context& ctx);
   void Route(Envelope& msg, Context& ctx);
   void HandleEpochChange(const Envelope& msg, Context& ctx);
   void HandleEos(Context& ctx);
@@ -243,11 +244,12 @@ class AggWorkerCore : public Task, private EpochProtocol::StateMover {
 
   explicit AggWorkerCore(Config config);
 
-  /// Control lane: reassignment signals (ship owned cells to the new
-  /// owner), migration cell intake, kMigEnd, and the EOS flush.
-  void OnMessage(Envelope msg, Context& ctx) override;
-  /// Data lane: merges each kData envelope's (weight, value) into the
-  /// owned accumulator cell for its key, creating the cell on first touch.
+  /// The worker's one dispatch (task.h invariants). A control singleton —
+  /// reassignment signal (ship owned cells to the new owner), kMigEnd, the
+  /// EOS flush — goes to the control switch. A data batch merges each kData
+  /// envelope's (weight, value) into the owned accumulator cell for its
+  /// key, creating the cell on first touch, and absorbs each migrated
+  /// (kMigrate) cell.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   /// Streaming egress wiring (AggOperator::RouteResultsTo).
@@ -272,6 +274,7 @@ class AggWorkerCore : public Task, private EpochProtocol::StateMover {
   uint64_t emitted_results() const { return stats_.emitted_results; }
 
  private:
+  void HandleControl(const Envelope& msg, Context& ctx);
   void MergeTuple(const Envelope& msg, Context& ctx);
   void HandleMigrate(const Envelope& msg);
   // EpochProtocol::StateMover hooks: begin records the target assignment

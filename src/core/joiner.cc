@@ -32,14 +32,26 @@ JoinerCore::JoinerCore(JoinerConfig config)
   }
 }
 
-void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
+void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
+  if (batch.empty()) return;
+  if (IsControlMsg(batch.items.front().type)) {
+    AJOIN_CHECK_MSG(batch.size() == 1, "joiner: control inside a data batch");
+    HandleControl(batch.items.front(), ctx);
+  } else {
+    HandleData(batch, ctx);
+  }
+  // Ship the results this dispatch produced before the Context goes away.
+  if (!egress_.empty()) FlushEgress(ctx);
+  // Publish live telemetry once per dispatch: counters stay plain stores
+  // above; the cell write is the only synchronized step.
+  if (config_.telemetry != nullptr) {
+    config_.telemetry->PublishJoiner(metrics_, epoch(), migrating(),
+                                     participating(), shed_rate_ppm_);
+  }
+}
+
+void JoinerCore::HandleControl(const Envelope& msg, Context& ctx) {
   switch (msg.type) {
-    case MsgType::kData:
-      HandleData(msg, ctx);
-      break;
-    case MsgType::kMigrate:
-      HandleMigrate(msg, ctx);
-      break;
     case MsgType::kMigEnd:
       protocol_.OnMigEnd(ctx);
       MaybeForwardEos(ctx);
@@ -58,84 +70,6 @@ void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
       break;
     default:
       AJOIN_CHECK_MSG(false, "joiner: unexpected message type");
-  }
-  // Ship any results this message produced before the Context goes away.
-  if (!egress_.empty()) FlushEgress(ctx);
-  // Publish live telemetry once per dispatch: counters stay plain stores
-  // above; the cell write is the only synchronized step.
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch(), migrating(),
-                                     participating(), shed_rate_ppm_);
-  }
-}
-
-void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
-  // Fall back to per-envelope semantics for everything that is not a
-  // steady-state data batch: control singletons, µ (kMigrate) batches, and
-  // any batch that arrives while a migration is active. A migration cannot
-  // start mid-batch — kReshufSignal is control and therefore always a
-  // singleton batch — so checking migrating() once up front is sound.
-  if (migrating() || batch.empty()) {
-    Task::OnBatch(std::move(batch), ctx);
-    return;
-  }
-  const Envelope* first_store = nullptr;
-  for (const Envelope& msg : batch.items) {
-    if (msg.type != MsgType::kData) {
-      Task::OnBatch(std::move(batch), ctx);
-      return;
-    }
-    if (first_store == nullptr && msg.store) first_store = &msg;
-  }
-  // Batches never mix epochs (task.h invariant 3): the per-envelope
-  // admission check hoists to one check per batch, anchored on the first
-  // store tuple (probe-only tuples are not epoch-checked on the
-  // per-envelope path either).
-  if (first_store != nullptr) {
-    AJOIN_CHECK_MSG(first_store->epoch == epoch(),
-                    "new-epoch tuple before its reshuffler signal");
-  }
-  const size_t n = batch.items.size();
-  size_t i = 0;
-  while (i < n) {
-    const Rel rel = batch.items[i].rel;
-    size_t j = i + 1;
-    while (j < n && batch.items[j].rel == rel) ++j;
-    // Probes first: a run's tuples all belong to one relation and probe the
-    // opposite relation's index, so the run's own (deferred) stores can
-    // never be probe candidates for it. Equi runs go through the batched
-    // ProbeRun entry point (prefetch-pipelined on the flat index).
-    if (config_.spec.kind == JoinSpec::Kind::kEqui) {
-      ProbeRunBatch(batch, i, j, ctx);
-    } else {
-      for (size_t k = i; k < j; ++k) {
-        const Envelope& msg = batch.items[k];
-        if (msg.store) {
-          metrics_.in_tuples++;
-          metrics_.in_bytes += msg.bytes;
-        }
-        if (!AdmitProbe()) continue;
-        emit_weight_ = shed_weight_;
-        Probe(msg, Scope::kAll, ctx);
-        emit_weight_ = 1.0;
-      }
-    }
-    // Then the run's inserts, grouped so the index stays hot in cache.
-    for (size_t k = i; k < j; ++k) {
-      const Envelope& msg = batch.items[k];
-      if (msg.store) Store(msg, kOriginData, epoch());
-    }
-    i = j;
-  }
-  // One egress batch per input batch (the per-envelope path flushes per
-  // message instead; both orders are per-edge FIFO, which is all sinks and
-  // downstream stages rely on).
-  if (!egress_.empty()) FlushEgress(ctx);
-  // One telemetry publish per batch (the fallback paths above publish per
-  // envelope through OnMessage).
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch(), migrating(),
-                                     participating(), shed_rate_ppm_);
   }
 }
 
@@ -187,50 +121,6 @@ void JoinerCore::Probe(const Envelope& msg, Scope scope, Context& ctx) {
   index_[opp_i].ForEachCandidate(lo, hi, [&](uint64_t id) {
     MatchAndEmit(msg, entries[id], scope, ctx);
   });
-}
-
-void JoinerCore::ProbeRunBatch(const TupleBatch& batch, size_t begin,
-                               size_t end, Context& ctx) {
-  // Steady-state (Scope::kAll) equi probes for one same-relation run,
-  // batched so the flat index can pipeline prefetches across the run;
-  // candidates go through the same MatchAndEmit body as scalar Probe().
-  // Under shedding the run is first Bernoulli-filtered (probe_idx_ maps the
-  // filtered position back to the batch item); the exact path keeps its
-  // straight-line begin+pi addressing.
-  const Rel rel = batch.items[begin].rel;
-  const auto opp_i = static_cast<size_t>(Opposite(rel));
-  const bool shed = shedding();
-  probe_keys_.clear();
-  probe_keys_.reserve(end - begin);
-  if (shed) {
-    probe_idx_.clear();
-    probe_idx_.reserve(end - begin);
-  }
-  for (size_t k = begin; k < end; ++k) {
-    const Envelope& msg = batch.items[k];
-    if (msg.store) {
-      metrics_.in_tuples++;
-      metrics_.in_bytes += msg.bytes;
-    }
-    if (shed && !AdmitProbe()) continue;
-    probe_keys_.push_back(msg.key);  // equi ProbeRange is the key itself
-    if (shed) probe_idx_.push_back(k);
-  }
-  const auto& entries = entries_[opp_i];
-  if (shed) {
-    emit_weight_ = shed_weight_;
-    index_[opp_i].ProbeRun(
-        probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
-          MatchAndEmit(batch.items[probe_idx_[pi]], entries[id], Scope::kAll,
-                       ctx);
-        });
-    emit_weight_ = 1.0;
-  } else {
-    index_[opp_i].ProbeRun(
-        probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
-          MatchAndEmit(batch.items[begin + pi], entries[id], Scope::kAll, ctx);
-        });
-  }
 }
 
 void JoinerCore::Emit(const Envelope& msg, const StoredEntry& matched,
@@ -323,38 +213,100 @@ void JoinerCore::Store(const Envelope& msg, uint8_t origin, uint32_t epoch) {
 // Data path
 // ---------------------------------------------------------------------------
 
-void JoinerCore::HandleData(Envelope& msg, Context& ctx) {
-  if (!msg.store) {
-    // Cross-group probe. Grouped operators run with barrier migrations, so
-    // probes never overlap an active migration (DESIGN.md section 5).
-    AJOIN_CHECK_MSG(!migrating(), "probe during migration (barrier violated)");
-    if (AdmitProbe()) {
-      emit_weight_ = shed_weight_;
-      Probe(msg, Scope::kAll, ctx);
-      emit_weight_ = 1.0;
+void JoinerCore::HandleData(const TupleBatch& batch, Context& ctx) {
+  // A migration begins and ends only on control messages, so migrating()
+  // holds for the whole batch.
+  const size_t n = batch.items.size();
+  size_t i = 0;
+  while (i < n) {
+    const Envelope& head = batch.items[i];
+    size_t j = i + 1;
+    while (j < n && batch.items[j].type == head.type &&
+           batch.items[j].rel == head.rel) {
+      ++j;
     }
-    return;
+    AJOIN_CHECK_MSG(head.type == MsgType::kData ||
+                        head.type == MsgType::kMigrate,
+                    "joiner: unexpected message type");
+    if (head.type == MsgType::kMigrate) {
+      for (size_t k = i; k < j; ++k) HandleMigrate(batch.items[k], ctx);
+    } else if (migrating()) {
+      for (size_t k = i; k < j; ++k) HandleMigratingData(batch.items[k], ctx);
+    } else {
+      ProbeThenStore(batch, i, j, ctx);
+    }
+    i = j;
   }
+}
+
+void JoinerCore::ProbeThenStore(const TupleBatch& batch, size_t begin,
+                                size_t end, Context& ctx) {
+  // Probes first: the run's tuples all belong to one relation and probe the
+  // opposite relation's index, so the run's own (deferred) stores can never
+  // be probe candidates for it. Equi runs go through the batched ProbeRun
+  // entry point (prefetch-pipelined on the flat index); band and theta
+  // probes are ranges and stay scalar. Cross-group probe-only tuples
+  // (!store) are probed and never stored.
+  //
+  // Shedding gates the probe only: the tuple is still stored exactly, so
+  // join state (and any future migration of it) is unaffected. Each join
+  // pair is produced at exactly one probe site, so Bernoulli(p) admission
+  // here with weight 1/p at emission is an unbiased Horvitz-Thompson
+  // sample of the exact output. Under shedding probe_idx_ maps an admitted
+  // probe back to its batch item; the exact path keeps its straight-line
+  // begin+pi addressing.
+  const Rel rel = batch.items[begin].rel;
+  const auto opp_i = static_cast<size_t>(Opposite(rel));
+  const bool equi = config_.spec.kind == JoinSpec::Kind::kEqui;
+  const bool shed = shedding();
+  probe_keys_.clear();
+  probe_idx_.clear();
+  emit_weight_ = shed_weight_;  // 1.0 when exact
+  for (size_t k = begin; k < end; ++k) {
+    const Envelope& msg = batch.items[k];
+    if (msg.store) {
+      AJOIN_CHECK_MSG(msg.epoch == epoch(),
+                      "new-epoch tuple before its reshuffler signal");
+      metrics_.in_tuples++;
+      metrics_.in_bytes += msg.bytes;
+    }
+    if (!AdmitProbe()) continue;
+    if (!equi) {
+      Probe(msg, Scope::kAll, ctx);
+      continue;
+    }
+    probe_keys_.push_back(msg.key);  // equi ProbeRange is the key itself
+    if (shed) probe_idx_.push_back(k);
+  }
+  // The batched equi probe (band and theta runs were probed above and left
+  // no keys).
+  const auto& entries = entries_[opp_i];
+  if (shed) {
+    index_[opp_i].ProbeRun(
+        probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
+          MatchAndEmit(batch.items[probe_idx_[pi]], entries[id], Scope::kAll,
+                       ctx);
+        });
+  } else {
+    index_[opp_i].ProbeRun(
+        probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
+          MatchAndEmit(batch.items[begin + pi], entries[id], Scope::kAll, ctx);
+        });
+  }
+  emit_weight_ = 1.0;
+  // Then the run's inserts, grouped so the index stays hot in cache.
+  for (size_t k = begin; k < end; ++k) {
+    const Envelope& msg = batch.items[k];
+    if (msg.store) Store(msg, kOriginData, epoch());
+  }
+}
+
+void JoinerCore::HandleMigratingData(const Envelope& msg, Context& ctx) {
+  // Cross-group probes never overlap a migration: grouped operators run
+  // with barrier migrations (DESIGN.md section 5).
+  AJOIN_CHECK_MSG(msg.store, "probe during migration (barrier violated)");
   metrics_.in_tuples++;
   metrics_.in_bytes += msg.bytes;
-
-  if (!migrating()) {
-    AJOIN_CHECK_MSG(msg.epoch == epoch(),
-                    "new-epoch tuple before its reshuffler signal");
-    // Shedding gates the probe only: the tuple is still stored exactly, so
-    // join state (and any future migration of it) is unaffected. Each join
-    // pair is produced at exactly one probe site, so Bernoulli(p) admission
-    // here with weight 1/p at emission is an unbiased Horvitz-Thompson
-    // sample of the exact output.
-    if (AdmitProbe()) {
-      emit_weight_ = shed_weight_;
-      Probe(msg, Scope::kAll, ctx);
-      emit_weight_ = 1.0;
-    }
-    Store(msg, kOriginData, msg.epoch);
-    return;
-  }
-
   if (msg.epoch == epoch()) {
     // Δ tuple (Alg. 3, HandleTuple1 lines 15-20).
     Probe(msg, Scope::kOldData, ctx);
@@ -371,31 +323,12 @@ void JoinerCore::HandleData(Envelope& msg, Context& ctx) {
   }
 }
 
-void JoinerCore::HandleMigrate(Envelope& msg, Context& ctx) {
+void JoinerCore::HandleMigrate(const Envelope& msg, Context& ctx) {
   metrics_.mig_in_tuples++;
   metrics_.mig_in_bytes += msg.bytes;
   // µ tuple: join with Δ' only (lines 10-11 / 22-23). Δ' entries carry the
   // pending epoch E+1, whether or not the migration has locally started.
-  const uint32_t pending = epoch() + 1;
-  const Rel opp = Opposite(msg.rel);
-  const auto opp_i = static_cast<size_t>(opp);
-  int64_t lo = 0, hi = 0;
-  config_.spec.ProbeRange(msg.rel, msg.key, &lo, &hi);
-  const auto& entries = entries_[opp_i];
-  index_[opp_i].ForEachCandidate(lo, hi, [&](uint64_t id) {
-    const StoredEntry& entry = entries[id];
-    metrics_.probe_candidates++;
-    if (entry.epoch != pending || entry.origin != kOriginData) return;
-    bool match;
-    if (msg.has_row && entry.has_row) {
-      match = (msg.rel == Rel::kR) ? config_.spec.Matches(msg.row, entry.row)
-                                   : config_.spec.Matches(entry.row, msg.row);
-    } else {
-      AJOIN_CHECK(config_.spec.kind != JoinSpec::Kind::kTheta);
-      match = true;
-    }
-    if (match) Emit(msg, entry, msg.rel, ctx);
-  });
+  Probe(msg, Scope::kDeltaPrime, ctx);
   Store(msg, kOriginMig, msg.epoch);
 }
 
@@ -577,7 +510,7 @@ bool JoinerCore::AdmitProbe() {
   return false;
 }
 
-void JoinerCore::HandleShed(Envelope& msg, Context& ctx) {
+void JoinerCore::HandleShed(const Envelope& msg, Context& ctx) {
   // Admission-rate change. Every reshuffler forwards the controller's kShed
   // to every allocated joiner so the new rate serializes behind each data
   // edge, which means each rate arrives num_reshufflers times, in no fixed

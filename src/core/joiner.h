@@ -66,22 +66,17 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
  public:
   explicit JoinerCore(JoinerConfig config);
 
-  void OnMessage(Envelope msg, Context& ctx) override;
-
-  /// Batch store/probe (threaded engine, batched dispatch). Relies on the
-  /// OnBatch invariants (src/runtime/task.h): batches are one edge's FIFO
-  /// run, never mix control with data, and never mix epochs — so for a
-  /// steady-state kData batch the epoch admission check hoists to once per
-  /// batch, and the batch splits into maximal same-relation runs processed
-  /// as a probe pass — batched through JoinIndex::ProbeRun for equi-joins,
-  /// so the flat index prefetch-pipelines the run — followed by grouped
-  /// index inserts (tuples of one relation never match each other, so
-  /// deferring a run's stores behind its probes is output-equivalent to the
-  /// per-envelope interleaving and keeps each index's insert path hot).
-  /// Anything else — control singletons, µ
-  /// batches, or any batch consumed while a migration is active (Δ/Δ'
-  /// scoping and migration bookkeeping stay per-envelope) — falls back to
-  /// the default OnMessage loop.
+  /// The joiner's one dispatch (task.h invariants): a control singleton
+  /// goes to the control switch; a data batch goes to the data path, which
+  /// splits it into maximal runs of one type and relation. A steady-state
+  /// kData run is probed first — batched through JoinIndex::ProbeRun for
+  /// equi-joins, so the flat index prefetch-pipelines the run — and then
+  /// stored as a group (tuples of one relation never match each other, so
+  /// deferring a run's stores behind its probes is output-equivalent to
+  /// per-tuple probe-then-store and keeps each index's insert path hot).
+  /// While a migration is active, and for µ (kMigrate) tuples, the run is
+  /// handled per envelope with Alg. 3's Δ/Δ'/µ scoping. The epilogue ships
+  /// the staged results and publishes telemetry once per dispatch.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   /// Re-points streaming egress at engine task `sink` (see
@@ -147,12 +142,18 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
     kDeltaPrime, // Δ': epoch == new epoch
   };
 
-  void HandleData(Envelope& msg, Context& ctx);
-  void HandleMigrate(Envelope& msg, Context& ctx);
+  void HandleControl(const Envelope& msg, Context& ctx);
+  void HandleData(const TupleBatch& batch, Context& ctx);
+  // Steady-state probe-then-store of one same-relation kData run.
+  void ProbeThenStore(const TupleBatch& batch, size_t begin, size_t end,
+                      Context& ctx);
+  // A Δ or Δ' tuple while a migration is active (Alg. 3 HandleTuple).
+  void HandleMigratingData(const Envelope& msg, Context& ctx);
+  void HandleMigrate(const Envelope& msg, Context& ctx);
   /// Forwards one kEos to the result sink once this slot is finished, so a
   /// downstream stage's expected-EOS gate can detect upstream drainage.
   void MaybeForwardEos(Context& ctx);
-  void HandleShed(Envelope& msg, Context& ctx);
+  void HandleShed(const Envelope& msg, Context& ctx);
   // Bernoulli probe admission under shedding (always true when exact);
   // a skipped probe bumps metrics_.shed_probes_skipped.
   bool AdmitProbe();
@@ -166,8 +167,6 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
 
   bool EntryInScope(const StoredEntry& entry, Rel entry_rel, Scope scope) const;
   void Probe(const Envelope& msg, Scope scope, Context& ctx);
-  void ProbeRunBatch(const TupleBatch& batch, size_t begin, size_t end,
-                     Context& ctx);
   // Shared candidate-filter/match/emit body of the scalar and batched
   // probe paths (single source of truth for the match rules).
   void MatchAndEmit(const Envelope& msg, const StoredEntry& entry,
@@ -176,8 +175,8 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
             Context& ctx);
   // Egress plane: stages one kResult envelope (result_sink >= 0), and ships
   // the staged run as one Context::SendBatch when it fills or the current
-  // dispatch ends (OnMessage/OnBatch epilogue) — results never outlive the
-  // Context that produced them.
+  // dispatch ends (OnBatch epilogue) — results never outlive the Context
+  // that produced them.
   void StageResult(const Envelope& msg, const StoredEntry& matched,
                    Rel msg_rel, Context& ctx);
   void FlushEgress(Context& ctx);

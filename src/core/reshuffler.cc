@@ -59,20 +59,23 @@ void ReshufflerCore::RestampResult(Envelope& msg) {
   msg.store = true;
 }
 
-void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
+void ReshufflerCore::OnBatch(TupleBatch batch, Context& ctx) {
+  if (batch.empty()) return;
+  if (IsControlMsg(batch.items.front().type)) {
+    AJOIN_CHECK_MSG(batch.size() == 1,
+                    "reshuffler: control inside a data batch");
+    HandleControl(batch.items.front(), ctx);
+  } else {
+    RouteBatch(batch, ctx);
+  }
+  // Publish live telemetry once per dispatch (counters above stay plain).
+  if (config_.telemetry != nullptr) {
+    config_.telemetry->Publish(metrics_);
+  }
+}
+
+void ReshufflerCore::HandleControl(const Envelope& msg, Context& ctx) {
   switch (msg.type) {
-    case MsgType::kInput:
-    case MsgType::kResult: {
-      // Upstream-stage egress enters here like fresh input: restamp, then
-      // the one routing path (controller duty included, so adaptivity runs
-      // on the cascaded stream too). A lone tuple routes as a one-envelope
-      // batch: the same envelopes in the same order as routing it directly.
-      if (msg.type == MsgType::kResult) RestampResult(msg);
-      TupleBatch batch;
-      batch.items.push_back(std::move(msg));
-      RouteBatch(batch, ctx);
-      break;
-    }
     case MsgType::kEpochChange:
       HandleEpochChange(msg, ctx);
       break;
@@ -153,39 +156,6 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
     default:
       AJOIN_CHECK_MSG(false, "reshuffler: unexpected message type");
   }
-  // Publish live telemetry once per dispatch (counters above stay plain).
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->Publish(metrics_);
-  }
-}
-
-void ReshufflerCore::OnBatch(TupleBatch batch, Context& ctx) {
-  // Only pure input batches take the one-pass routing path; a pure kResult
-  // batch (upstream egress) is restamped in place and becomes one. Control
-  // arrives as singleton batches (task.h invariant 3), so in practice this
-  // check is one type compare; a defensive scan keeps any unexpected mix on
-  // the per-envelope path instead of miscategorizing it.
-  if (batch.empty()) return;
-  const MsgType kind = batch.items.front().type;
-  if (kind != MsgType::kInput && kind != MsgType::kResult) {
-    Task::OnBatch(std::move(batch), ctx);
-    return;
-  }
-  for (const Envelope& msg : batch.items) {
-    if (msg.type != kind) {
-      Task::OnBatch(std::move(batch), ctx);
-      return;
-    }
-  }
-  if (kind == MsgType::kResult) {
-    for (Envelope& msg : batch.items) RestampResult(msg);
-  }
-  RouteBatch(batch, ctx);
-  // One telemetry publish per batch (the fallback path above publishes per
-  // envelope through OnMessage).
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->Publish(metrics_);
-  }
 }
 
 void ReshufflerCore::RebuildRouteCache(GroupRoute& g) {
@@ -198,6 +168,15 @@ void ReshufflerCore::RebuildRouteCache(GroupRoute& g) {
 
 void ReshufflerCore::RouteBatch(TupleBatch& batch, Context& ctx) {
   for (Envelope& msg : batch.items) {
+    // Upstream-stage egress enters like fresh input: restamped, then routed
+    // (controller duty included, so adaptivity runs on the cascaded stream
+    // too).
+    if (msg.type == MsgType::kResult) {
+      RestampResult(msg);
+    } else {
+      AJOIN_CHECK_MSG(msg.type == MsgType::kInput,
+                      "reshuffler: unexpected message type");
+    }
     const uint64_t tag = TagForSeq(msg.seq, msg.rel);
     metrics_.routed_tuples++;
     if (stats_ != nullptr) stats_->Observe(msg.rel, msg.key, msg.bytes);
@@ -247,9 +226,9 @@ void ReshufflerCore::RouteBatch(TupleBatch& batch, Context& ctx) {
     }
   }
   // Ship each destination's run as a unit. Per-edge order is batch order
-  // (appends above), matching the per-envelope path; and every run leaves
-  // before this call returns, so a later epoch-change signal on the same
-  // edge still trails all data routed under the old mapping.
+  // (appends above); and every run leaves before this call returns, so a
+  // later epoch-change signal on the same edge still trails all data routed
+  // under the old mapping.
   for (const size_t slot : touched_runs_) {
     ctx.SendBatch(run_dest_task_[slot], std::move(runs_[slot]));
     runs_[slot].Clear();
@@ -282,7 +261,7 @@ void ReshufflerCore::Broadcast(const std::vector<EpochSpec>& specs,
   }
 }
 
-void ReshufflerCore::HandleEpochChange(Envelope& msg, Context& ctx) {
+void ReshufflerCore::HandleEpochChange(const Envelope& msg, Context& ctx) {
   const EpochSpec& spec = *msg.espec;
   GroupRoute& g = groups_[spec.group];
   AJOIN_CHECK_MSG(spec.epoch == g.epoch + 1, "epoch change out of order");

@@ -74,8 +74,6 @@ class ReshufflerCore : public Task {
  public:
   explicit ReshufflerCore(ReshufflerConfig config);
 
-  void OnMessage(Envelope msg, Context& ctx) override;
-
   /// Accepts kResult envelopes from an upstream stage's joiner egress as
   /// stage input: each result is restamped as relation `rel` with a fresh
   /// sequence number from this reshuffler's private band (so tags stay
@@ -94,17 +92,15 @@ class ReshufflerCore : public Task {
   /// produced.
   void AddEosFeeders(uint32_t n) { eos_expected_ += n; }
 
-  /// Batch routing (threaded engine, batched dispatch). Relies on the
-  /// OnBatch invariants (src/runtime/task.h): the batch is one edge's FIFO
-  /// run and control always arrives as a singleton batch, so a pure-kInput
-  /// batch can be routed in one pass — hash every key, group the resulting
-  /// data envelopes by destination joiner into per-destination runs (using
-  /// the per-partition target table cached per epoch instead of a per-tuple
-  /// layout lookup), and emit each run via Context::SendBatch as a
-  /// pre-formed batch. Routing never changes mid-batch: epoch changes loop
-  /// back through this reshuffler's own inbox, exactly as on the
-  /// per-envelope path. Anything that is not a pure input batch falls back
-  /// to the default per-envelope loop.
+  /// The reshuffler's one dispatch (task.h invariants): a control
+  /// singleton goes to the control switch; a data batch — kInput, or
+  /// upstream kResult restamped in place — is routed in one pass: hash
+  /// every key, group the resulting data envelopes by destination joiner
+  /// into per-destination runs (using the per-partition target table
+  /// cached per epoch instead of a per-tuple layout lookup), and emit each
+  /// run via Context::SendBatch as a pre-formed batch. Routing never
+  /// changes mid-batch: epoch changes loop back through this reshuffler's
+  /// own inbox. Telemetry is published once per dispatch.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   const ReshufflerMetrics& metrics() const { return metrics_; }
@@ -133,11 +129,11 @@ class ReshufflerCore : public Task {
     size_t run_base = 0;
   };
 
-  /// Routes a run of kInput envelopes (kResult already restamped) — the
-  /// one routing path, shared by OnBatch and per-envelope OnMessage.
+  void HandleControl(const Envelope& msg, Context& ctx);
+  /// Routes a data batch: kInput, or upstream kResult restamped in place.
   void RouteBatch(TupleBatch& batch, Context& ctx);
   void RestampResult(Envelope& msg);
-  void HandleEpochChange(Envelope& msg, Context& ctx);
+  void HandleEpochChange(const Envelope& msg, Context& ctx);
   void Broadcast(const std::vector<EpochSpec>& specs, Context& ctx);
   uint32_t StorageGroupOf(uint64_t tag) const;
   static void RebuildRouteCache(GroupRoute& g);

@@ -2,37 +2,31 @@
 // controller) is written once against Task/Context and runs on either the
 // deterministic simulator or the multithreaded engine.
 //
-// Two dispatch granularities exist:
-//
-//  - OnMessage: one envelope at a time. Every task must implement it; it is
-//    the only path the SimEngine uses and the fallback for everything the
-//    batch path does not cover.
-//  - OnBatch: one TupleBatch at a time. The threaded engine's batched
-//    exchange plane delivers whole batches, and handing them to the task in
-//    one call amortizes the per-envelope virtual dispatch, type switch, and
-//    bookkeeping that otherwise dominate the exchange hot path. The default
-//    implementation simply loops OnMessage, so tasks that never override it
-//    (and every task on the SimEngine) behave exactly as before.
+// One dispatch granularity: an engine hands a task a TupleBatch through
+// OnBatch, and never calls anything else. The threaded engine's exchange
+// plane delivers whole batches; the simulator hands each dequeued envelope
+// over as a one-envelope batch, in its global FIFO order. So an operator
+// core has one control switch and one data path, and both engines run the
+// same code. A task may instead override OnMessage and take envelopes one
+// at a time: OnBatch's default loops OnMessage, and OnMessage's default
+// forwards a one-envelope batch to OnBatch (so a core's OnMessage — which
+// unit tests use to drive it with crafted messages — is its OnBatch). A
+// task overrides at least one of the two; overriding neither recurses.
 //
 // Invariants an OnBatch implementer may rely on (established by the exchange
 // layer — see ARCHITECTURE.md "Operator dispatch"):
 //
-//  1. Single-threaded per task: like OnMessage, OnBatch is never invoked
-//     concurrently for the same task instance, and OnMessage/OnBatch calls
-//     never overlap each other.
+//  1. Single-threaded per task: OnBatch is never invoked concurrently for
+//     the same task instance.
 //  2. Per-edge FIFO: a batch contains consecutive envelopes of exactly one
 //     sender→receiver edge, in send order, and batches of the same edge
 //     arrive in send order.
 //  3. Control cuts batches: control messages (epoch signals, migration
 //     markers, acks, EOS) always travel as singleton batches, so a batch is
-//     either pure data (kInput/kData/kMigrate) or a single control message —
-//     never a mix. Because reshufflers emit the epoch-change signal before
-//     routing under the new mapping, a data batch also never mixes epochs;
-//     per-envelope epoch checks may be hoisted to once per batch.
-//
-// An override that cannot handle a particular batch shape (e.g. a joiner in
-// migration mode that needs per-envelope Δ/Δ' bookkeeping) must delegate to
-// Task::OnBatch, which preserves exact per-envelope semantics.
+//     either pure data (kInput/kData/kMigrate/kResult) or a single control
+//     message — never a mix. Because reshufflers emit the epoch-change
+//     signal before routing under the new mapping, a data batch also never
+//     mixes epochs, and a migration never begins or ends mid-batch.
 //
 // Blocking contract: a task never waits inside OnMessage/OnBatch for another
 // task's progress (no locks held across messages, no polling for state
@@ -78,17 +72,21 @@ class Context {
   virtual uint64_t NowMicros() const = 0;
 };
 
-/// An event-driven task. OnMessage/OnBatch are never invoked concurrently
-/// for the same task instance.
+/// An event-driven task. Engines call only OnBatch, never concurrently for
+/// the same task instance (see the file header).
 class Task {
  public:
   virtual ~Task() = default;
-  virtual void OnMessage(Envelope msg, Context& ctx) = 0;
 
-  /// Batch-level dispatch (see file header for the invariants callers
+  /// Per-envelope handler for tasks that take envelopes one at a time.
+  virtual void OnMessage(Envelope msg, Context& ctx) {
+    // Default: the envelope as a one-envelope batch.
+    OnBatch(TupleBatch(std::move(msg)), ctx);
+  }
+
+  /// The engine entry point (see file header for the invariants callers
   /// guarantee). The default unpacks the batch into one OnMessage call per
-  /// envelope, in order — overrides must be observably equivalent to that
-  /// loop, and fall back to it for batch shapes they do not specialize.
+  /// envelope, in order.
   virtual void OnBatch(TupleBatch batch, Context& ctx) {
     for (Envelope& msg : batch.items) {
       OnMessage(std::move(msg), ctx);

@@ -198,8 +198,7 @@ void ThreadEngine::RunSlice(int id) {
   for (uint32_t done = 0; done < kSliceBatches;) {
     if (plane_->PopAny(id, &run.cursor, &batch)) {
       const uint64_t n = batch.size();
-      // Hand the whole batch to the task: one virtual call (and one shot
-      // at the operator's batch specializations) per batch.
+      // Hand the whole batch to the task: one virtual call per batch.
       task->OnBatch(std::move(batch), ctx);
       batch.Clear();
       DecInflight(n);
@@ -275,11 +274,11 @@ bool ThreadEngine::PortPostBatch(PortImpl& port, int to, TupleBatch&& batch) {
   AJOIN_CHECK_MSG(started_, "PostBatch before Start");
   AJOIN_CHECK_MSG(to >= 0 && to < static_cast<int>(tasks_.size()),
                   "PostBatch to unknown task");
-  if (batch.empty()) return true;
   if (shut_down_.load(std::memory_order_acquire)) {
     port.rejected_posts_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  if (batch.empty()) return true;
   const uint64_t n_envelopes = batch.size();
   port.posted_envelopes_.fetch_add(n_envelopes, std::memory_order_relaxed);
   port.posted_batches_.fetch_add(1, std::memory_order_relaxed);

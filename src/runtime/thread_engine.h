@@ -4,11 +4,11 @@
 // TupleBatches, with size/deadline/control batching and credit-based
 // backpressure. A slow joiner stalls only the edges feeding it; the driver
 // blocks only when the specific ingress edge it is posting on is out of
-// credits. Consumed batches are handed to Task::OnBatch whole, so operators
-// with batch specializations (reshuffler routing, joiner store/probe) skip
-// the per-envelope dispatch entirely; tasks without one fall back to
-// Task::OnBatch's default per-envelope loop. (ExchangeConfig with
-// batch_size = 1 is the per-tuple reference configuration.)
+// credits. Each consumed batch is handed to Task::OnBatch whole — the only
+// call the engine makes into a task — so an operator core runs its one data
+// path over the batch, and a per-envelope task gets OnBatch's default loop.
+// (ExchangeConfig with batch_size = 1 is the per-tuple reference
+// configuration: one-envelope batches, as on the simulator.)
 //
 // Scheduling: each task has one RunState word (run_state.h). A push marks
 // the consumer ready; an idle task becomes queued and goes on the shared run
@@ -17,8 +17,8 @@
 // requeued instead, so one busy task cannot starve the rest. Idle workers
 // park on the run queue; a dormant joiner slot is just an idle task.
 //
-// Contract for tasks: a task never waits inside OnMessage/OnBatch for
-// another task's progress. The only in-handler wait is the exchange's
+// Contract for tasks: a task never waits inside OnBatch for another task's
+// progress. The only in-handler wait is the exchange's
 // credit wait, and it helps: a worker task out of credits on an edge runs
 // the consumer inline when no other worker holds it (ExchangePlane::
 // Scheduler::Help), and parks only when one does. Credit edges point at

@@ -97,7 +97,7 @@ void SimEngine::WaitQuiescent() {
     AJOIN_CHECK_MSG(to >= 0 && to < static_cast<int>(tasks_.size()),
                     "message to unknown task");
     SimContext ctx(this, to);
-    tasks_[static_cast<size_t>(to)]->OnMessage(std::move(msg), ctx);
+    tasks_[static_cast<size_t>(to)]->OnBatch(TupleBatch(std::move(msg)), ctx);
     ++dispatched_;
     ++logical_time_;
   }

@@ -3,6 +3,9 @@
 // and processed in order, so every task observes arrivals in a single global
 // order — the in-process equivalent of the paper's serial block-leader
 // forwarding that keeps multi-group deliveries consistent (section 4.2.2).
+// Each dequeued envelope is handed to Task::OnBatch as a one-envelope batch
+// — the threaded engine's one entry point — so both engines run the same
+// operator data paths.
 
 #pragma once
 
@@ -36,7 +39,8 @@ class SimEngine : public Engine {
   /// Registered task count (the next id AddTask assigns).
   size_t num_tasks() const override { return tasks_.size(); }
 
-  /// Drains the queue to empty, dispatching in FIFO order.
+  /// Drains the queue to empty in FIFO order, one envelope per OnBatch
+  /// call; the logical clock ticks once per envelope.
   void WaitQuiescent() override;
 
   /// Marks the engine shut down: subsequent Post/PostBatch on any port

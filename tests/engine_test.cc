@@ -218,6 +218,8 @@ TEST(SimEngine, PostAfterShutdownRejects) {
   engine.Shutdown();
   EXPECT_FALSE(port->Post(SeqMsg(2)));
   EXPECT_FALSE(port->PostBatch(SeqBatch(3, 4)));
+  EXPECT_FALSE(port->PostBatch(TupleBatch{}));
+  EXPECT_EQ(port->stats().rejected_posts, 3u);
   engine.WaitQuiescent();
   EXPECT_EQ(task->seen(), (std::vector<uint64_t>{1}));
 }
@@ -284,6 +286,8 @@ TEST(ThreadEngine, PostAfterShutdownRejects) {
     engine->Shutdown();
     EXPECT_FALSE(port->Post(SeqMsg(2))) << "batched=" << batched;
     EXPECT_FALSE(port->PostBatch(SeqBatch(3, 4))) << "batched=" << batched;
+    EXPECT_FALSE(port->PostBatch(TupleBatch{})) << "batched=" << batched;
+    EXPECT_EQ(port->stats().rejected_posts, 3u) << "batched=" << batched;
     port->Flush();                   // no-op after shutdown, must not crash
     EXPECT_EQ(task->seen(), (std::vector<uint64_t>{1}))
         << "batched=" << batched;

@@ -220,13 +220,13 @@ TEST(OperatorThread, RowModeResidualPredicate) {
 }
 
 TEST(OperatorThread, BatchedPlaneMatchesPerTuplePlaneAcrossMigration) {
-  // The OnBatch specializations (reshuffler one-pass routing, joiner
+  // The cores' batch data paths (reshuffler one-pass routing, joiner
   // run-grouped store/probe) must be observably equivalent to one-envelope
   // batches, where every run is a single tuple and store/probe interleave
-  // exactly as per-envelope dispatch would — including across live
-  // migrations, where the joiner falls back to per-envelope Δ/Δ' handling
-  // mid-stream. Aggressive epsilon guarantees at least one migration is in
-  // flight while data keeps arriving.
+  // exactly as on the simulator — including across live migrations, where
+  // the joiner's data path handles Δ/Δ' tuples per envelope mid-stream.
+  // Aggressive epsilon guarantees at least one migration is in flight while
+  // data keeps arriving.
   JoinSpec spec = MakeEquiJoin(0, 0);
   for (uint64_t seed = 50; seed < 54; ++seed) {
     auto stream = MakeStream(400 + 13 * seed, 1200 + 29 * seed, 24, seed);

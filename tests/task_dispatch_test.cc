@@ -1,8 +1,10 @@
 // Unit tests for the batch-level dispatch contract (src/runtime/task.h):
-// the Task::OnBatch default implementation must be exactly the per-envelope
-// OnMessage loop, the Context::SendBatch default must be exactly the
-// per-envelope Send loop, and the exchange Outbox::SendRun must preserve
-// per-edge FIFO across every pending/top-up/direct-ship/tail path.
+// both engines call only Task::OnBatch (the simulator one envelope per
+// batch, in its global FIFO order), the Task::OnBatch default implementation
+// must be exactly the per-envelope OnMessage loop, the Context::SendBatch
+// default must be exactly the per-envelope Send loop, and the exchange
+// Outbox::SendRun must preserve per-edge FIFO across every
+// pending/top-up/direct-ship/tail path.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "src/exchange/exchange.h"
 #include "src/runtime/task.h"
 #include "src/runtime/thread_engine.h"
+#include "src/sim/sim_engine.h"
 
 namespace ajoin {
 namespace {
@@ -73,6 +76,85 @@ TEST(TaskDispatch, DefaultOnBatchEmptyIsNoop) {
   RecordingContext ctx;
   task.OnBatch(TupleBatch{}, ctx);
   EXPECT_TRUE(task.seen.empty());
+}
+
+/// Records every OnBatch call; never overrides OnMessage, so an engine
+/// reaches it only through OnBatch.
+class BatchRecordingTask : public Task {
+ public:
+  void OnBatch(TupleBatch batch, Context& ctx) override {
+    (void)ctx;
+    sizes.push_back(batch.size());
+    for (const Envelope& msg : batch.items) seen.push_back(msg.seq);
+  }
+
+  std::vector<size_t> sizes;
+  std::vector<uint64_t> seen;
+};
+
+/// Forwards every envelope to one peer, one at a time (default OnBatch).
+class ForwardTask : public Task {
+ public:
+  explicit ForwardTask(int to) : to_(to) {}
+  void OnMessage(Envelope msg, Context& ctx) override {
+    ctx.Send(to_, std::move(msg));
+  }
+
+ private:
+  int to_;
+};
+
+/// Task 0 forwards to task 1, a BatchRecordingTask. Odd seqs 1..n are
+/// posted straight to task 1, even ones through task 0, interleaved; returns
+/// task 1 once the engine is quiescent.
+const BatchRecordingTask& RunForwardScenario(Engine& engine, uint64_t n) {
+  engine.AddTask(std::make_unique<ForwardTask>(1));
+  auto* sink = new BatchRecordingTask();
+  engine.AddTask(std::unique_ptr<Task>(sink));
+  engine.Start();
+  std::unique_ptr<IngressPort> direct = engine.OpenIngress(1);
+  std::unique_ptr<IngressPort> via = engine.OpenIngress(0);
+  for (uint64_t seq = 1; seq <= n; ++seq) {
+    EXPECT_TRUE((seq % 2 == 1 ? direct : via)->Post(DataMsg(seq)));
+  }
+  engine.WaitQuiescent();
+  return *sink;
+}
+
+/// The envelopes of `seen` that arrived on one edge (odd = straight from
+/// the port, even = through the forwarder), in arrival order.
+std::vector<uint64_t> EdgeOrder(const std::vector<uint64_t>& seen, bool odd) {
+  std::vector<uint64_t> out;
+  for (uint64_t seq : seen) {
+    if ((seq % 2 == 1) == odd) out.push_back(seq);
+  }
+  return out;
+}
+
+TEST(TaskDispatch, SimEngineHandsOneEnvelopeBatchesInGlobalFifoOrder) {
+  SimEngine engine;
+  const BatchRecordingTask& sink = RunForwardScenario(engine, 6);
+  // Queue: 1 3 5 straight in, 2 4 6 requeued behind them by the forwarder.
+  EXPECT_EQ(sink.seen, (std::vector<uint64_t>{1, 3, 5, 2, 4, 6}));
+  EXPECT_EQ(sink.sizes, std::vector<size_t>(6, 1));
+  EXPECT_EQ(engine.dispatched(), 9u);
+}
+
+TEST(TaskDispatch, ThreadEngineBatchSizeOneMatchesSimPerEdgeOrder) {
+  constexpr uint64_t kN = 2000;
+  SimEngine sim;
+  const BatchRecordingTask& sim_sink = RunForwardScenario(sim, kN);
+  ExchangeConfig config;
+  config.batch_size = 1;
+  ThreadEngine threaded(config);
+  const BatchRecordingTask& thread_sink = RunForwardScenario(threaded, kN);
+  ASSERT_EQ(thread_sink.seen.size(), kN);
+  EXPECT_EQ(thread_sink.sizes, std::vector<size_t>(kN, 1));
+  for (bool odd : {true, false}) {
+    EXPECT_EQ(EdgeOrder(thread_sink.seen, odd), EdgeOrder(sim_sink.seen, odd))
+        << "odd=" << odd;
+  }
+  threaded.Shutdown();
 }
 
 TEST(TaskDispatch, DefaultSendBatchLoopsSendInOrder) {

@@ -6,8 +6,8 @@
 2. Every header under src/ that declares or references OnBatch outside a
    comment must carry a doc comment: the nearest preceding non-blank line of
    each such declaration must be a comment line. This keeps the OnBatch
-   contract (default loop, no-mixed-epoch precondition, migration fallback)
-   documented where implementers see it.
+   contract (the one engine entry point, default loop, no-mixed-batch
+   precondition) documented where implementers see it.
 3. Every public method of the external API classes must carry a doc
    comment: IngressPort/Engine in src/runtime/task.h (post-Shutdown
    rejection contract, per-port threading rules), ThreadEngine in
