@@ -21,7 +21,7 @@ void BM_FlatIndexInsert(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     state.PauseTiming();
-    FlatHashIndex index(1 << 16);
+    FlatHashIndex index;
     state.ResumeTiming();
     for (int i = 0; i < state.range(0); ++i) {
       index.Insert(static_cast<int64_t>(rng.Uniform(1 << 20)),
@@ -35,7 +35,7 @@ BENCHMARK(BM_FlatIndexInsert)->Arg(100000);
 
 void BM_FlatIndexProbe(benchmark::State& state) {
   Rng rng(2);
-  FlatHashIndex index(1 << 16);
+  FlatHashIndex index;
   for (int i = 0; i < 200000; ++i) {
     index.Insert(static_cast<int64_t>(rng.Uniform(1 << 16)),
                  static_cast<uint64_t>(i));

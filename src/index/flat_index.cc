@@ -1,53 +1,22 @@
 #include "src/index/flat_index.h"
 
-#include <algorithm>
+#include <cstring>
 
-#include "src/common/bitutil.h"
 #include "src/common/status.h"
 
 namespace ajoin {
 
-namespace {
-
-// Smallest power-of-two slot count holding `keys` distinct keys under the
-// 7/8 max load factor.
-size_t SlotCountFor(size_t keys) {
-  size_t slots = CeilPowerOfTwo(keys + keys / 7 + 1);
-  return slots < FlatHashIndex::kMinSlots ? FlatHashIndex::kMinSlots : slots;
-}
-
-}  // namespace
-
 void FlatHashIndex::Insert(int64_t key, uint64_t row_id) {
   AJOIN_CHECK_MSG((row_id & kExternal) == 0, "flat index row id limit");
-  MaybeGrow();
-  const uint64_t h = SplitMix64(static_cast<uint64_t>(key));
-  const uint8_t tag = TagOf(h);
-  size_t group = GroupOf(h);
-  while (true) {
-    uint8_t* ctrl = ctrl_.data() + group * kGroupWidth;
-    uint32_t match = MatchMask(ctrl, tag);
-    while (match != 0) {
-      const uint32_t lane = CountTrailingZeros(match);
-      match &= match - 1;
-      Slot& slot = slots_[group * kGroupWidth + lane];
-      if (slot.key == key) {
-        AppendToRun(&slot, row_id);
-        ++size_;
-        return;
-      }
-    }
-    const uint32_t empty = EmptyMask(ctrl);
-    if (empty != 0) {
-      const uint32_t lane = CountTrailingZeros(empty);
-      ctrl[lane] = tag;
-      slots_[group * kGroupWidth + lane] = Slot{key, row_id};
-      ++used_slots_;
-      ++size_;
-      return;
-    }
-    group = NextGroup(group);
+  bool inserted = false;
+  Slot* slot = table_.FindOrInsert(
+      key, SplitMix64(static_cast<uint64_t>(key)), &inserted);
+  if (inserted) {
+    slot->head = row_id;
+  } else {
+    AppendToRun(slot, row_id);
   }
+  ++size_;
 }
 
 void FlatHashIndex::AppendToRun(Slot* slot, uint64_t row_id) {
@@ -88,44 +57,6 @@ uint64_t FlatHashIndex::AllocRun(uint32_t cap) {
   return off;
 }
 
-void FlatHashIndex::MaybeGrow() {
-  // First insert: allocate the lazily-deferred initial table.
-  if (ctrl_.empty()) {
-    Rehash(SlotCountFor(initial_slots_));
-    return;
-  }
-  // Grow at 7/8 occupancy of distinct keys.
-  if (used_slots_ * 8 < ctrl_.size() * 7) return;
-  Rehash(ctrl_.size() * 2);
-}
-
-void FlatHashIndex::Rehash(size_t new_slot_count) {
-  std::vector<uint8_t> old_ctrl = std::move(ctrl_);
-  std::vector<Slot> old_slots = std::move(slots_);
-  ctrl_.assign(new_slot_count, kEmpty);
-  slots_.assign(new_slot_count, Slot{});
-  group_mask_ = new_slot_count / kGroupWidth - 1;
-  // Re-place whole slots; arena runs move with their slot untouched.
-  for (size_t i = 0; i < old_ctrl.size(); ++i) {
-    if (old_ctrl[i] == kEmpty) continue;
-    const Slot& moved = old_slots[i];
-    const uint64_t h = SplitMix64(static_cast<uint64_t>(moved.key));
-    const uint8_t tag = TagOf(h);
-    size_t group = GroupOf(h);
-    while (true) {
-      uint8_t* ctrl = ctrl_.data() + group * kGroupWidth;
-      const uint32_t empty = EmptyMask(ctrl);
-      if (empty != 0) {
-        const uint32_t lane = CountTrailingZeros(empty);
-        ctrl[lane] = tag;
-        slots_[group * kGroupWidth + lane] = moved;
-        break;
-      }
-      group = NextGroup(group);
-    }
-  }
-}
-
 void FlatHashIndex::Reserve(size_t n) {
   // Pre-size only when a duplication ratio is known: the live state's own
   // ratio, or the pre-Clear ratio for a migration-style Clear()+rebuild.
@@ -135,7 +66,7 @@ void FlatHashIndex::Reserve(size_t n) {
   // would feed into the controller's ILF accounting forever. Organic
   // geometric growth is amortized and always tight, so an uninformed
   // Reserve deliberately does nothing.
-  const size_t ratio_keys = size_ > 0 ? used_slots_ : prior_keys_;
+  const size_t ratio_keys = size_ > 0 ? table_.size() : prior_keys_;
   const size_t ratio_size = size_ > 0 ? size_ : prior_size_;
   if (ratio_size == 0) return;
   // Distinct-key estimate with a slight overshoot (n/8) to damp the cost
@@ -145,8 +76,7 @@ void FlatHashIndex::Reserve(size_t n) {
                                     static_cast<double>(ratio_size)) +
                 n / 8 + 1;
   if (keys > n) keys = n;
-  const size_t want = SlotCountFor(used_slots_ + keys);
-  if (want > ctrl_.size()) Rehash(want);
+  table_.Reserve(keys);
   // Arena headroom for the estimated duplicate surplus only (unique keys
   // store their id inline and never touch the arena): 2x covers run
   // headers and first relocations, and a shortfall just reallocates
@@ -157,13 +87,12 @@ void FlatHashIndex::Reserve(size_t n) {
 
 void FlatHashIndex::Clear() {
   if (size_ > 0) {
-    prior_keys_ = used_slots_;
+    prior_keys_ = table_.size();
     prior_size_ = size_;
   }
-  std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
+  table_.Clear();
   arena_.clear();
   size_ = 0;
-  used_slots_ = 0;
 }
 
 }  // namespace ajoin

@@ -3,64 +3,46 @@
 // (the paper's joiners burn most of their probe cycles in hashmap lookups,
 // and those lookups are memory-bound).
 //
-// Layout (Swiss-table style, insert-only):
+// Layout: a SwissTable (src/index/swiss_table.h: 16-lane ctrl groups,
+// 7-bit tags, 7/8 max load factor, insert-only) of 16-byte slots, plus
 //
-//   ctrl_   one byte per slot: 0x80 = empty, else the low 7 bits of the
-//           key's hash ("tag"). Probed 16 slots at a time with SWAR uint64
-//           group matching (an SSE2 path when available); a probe touches
-//           slot metadata only on tag hits, so the common miss/unique-hit
-//           case reads one 16-byte ctrl group plus at most one slot line.
-//   slots_  one 16-byte Slot per distinct key: the key plus a packed
-//           payload word. A unique key stores its row id inline (top bit
-//           clear); duplicates set the top bit and reference one
-//           contiguous run in the side arena, whose first word packs the
-//           run's count and capacity — so a probe touches exactly one
-//           slot line, and skewed keys stream sequentially instead of
-//           chasing chain pointers.
+//   slots   one per distinct key: the key plus a packed payload word. A
+//           unique key stores its row id inline (top bit clear); duplicates
+//           set the top bit and reference one contiguous run in the side
+//           arena, whose first word packs the run's count and capacity —
+//           so a probe touches exactly one slot line, and skewed keys
+//           stream sequentially instead of chasing chain pointers.
 //   arena_  duplicate runs (header word + ids), grown geometrically per
 //           key (relocate-on-full, amortized O(1) append; dead space is
 //           bounded by the growth factor and accounted in MemoryBytes()).
 //
-// Groups are 16 aligned slots; group-linear probing, capacity a power of
-// two, max load factor 7/8. Insert-only (no tombstones): the joiner's
-// migration protocol rebuilds indexes via Clear() + re-Add, so the probe
-// invariant "stop at the first group with an empty slot" always holds.
+// The joiner's migration protocol rebuilds indexes via Clear() + re-Add.
 //
 // ProbeRun(keys, n, fn) is the batched entry point: a four-stage software
 // pipeline (hash -> prefetch ctrl group -> match tags + prefetch slot ->
 // resolve key + prefetch duplicate run -> emit) that keeps several probes'
-// cache misses in flight, which is where the chained index stalls.
+// cache misses in flight.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "src/common/random.h"
-
-#if defined(__SSE2__) && !defined(AJOIN_FLAT_FORCE_SWAR)
-#define AJOIN_FLAT_SSE2 1
-#include <emmintrin.h>
-#endif
+#include "src/index/swiss_table.h"
 
 namespace ajoin {
 
 /// Insert-only open-addressing multimap (flat tag-filtered join index).
 /// Duplicates per key are expected (skewed foreign keys); each distinct key
 /// occupies one slot whose payload is either an inline row id or a
-/// contiguous duplicate run in the side arena.
+/// contiguous duplicate run in the side arena. No storage is allocated
+/// until the first Insert/Reserve: a JoinIndex of another kind carries an
+/// unused FlatHashIndex, which must cost nothing, in bytes and in
+/// MemoryBytes() ILF accounting.
 class FlatHashIndex {
  public:
-  /// Builds an empty index sized lazily: no storage is allocated until the
-  /// first Insert/Reserve (a JoinIndex of another kind, or one configured
-  /// for the chained baseline, carries an unused FlatHashIndex — it must
-  /// cost nothing, in bytes and in MemoryBytes() ILF accounting). The
-  /// first allocation holds roughly `initial_slots` distinct keys.
-  explicit FlatHashIndex(size_t initial_slots = 64)
-      : initial_slots_(initial_slots) {}
-
   /// Inserts (key, row_id). Amortized O(1); duplicates append to the key's
   /// contiguous arena run.
   void Insert(int64_t key, uint64_t row_id);
@@ -94,7 +76,7 @@ class FlatHashIndex {
   /// slot prefetch, key resolve + duplicate-run prefetch, then emission.
   template <typename Fn>
   void ProbeRun(const int64_t* keys, size_t n, Fn&& fn) const {
-    if (used_slots_ == 0 || n == 0) return;
+    if (table_.size() == 0 || n == 0) return;
     // In-flight probe states, one ring slot per probe modulo the window.
     Pending ring[kWindow];
     for (size_t step = 0; step < n + 3 * kPipeline; ++step) {
@@ -126,28 +108,19 @@ class FlatHashIndex {
   size_t size() const { return size_; }
 
   /// Distinct keys currently stored.
-  size_t distinct_keys() const { return used_slots_; }
+  size_t distinct_keys() const { return table_.size(); }
 
   /// Removes every entry; keeps allocated capacity.
   void Clear();
-
-  /// Minimum slot-table size (one cache-line-sized ctrl block per side).
-  static constexpr size_t kMinSlots = 64;
 
   /// Memory footprint estimate in bytes (ctrl bytes + slot array + arena,
   /// including relocation dead space — the number the controller's ILF
   /// bookkeeping would see).
   size_t MemoryBytes() const {
-    return ctrl_.capacity() * sizeof(uint8_t) +
-           slots_.capacity() * sizeof(Slot) +
-           arena_.capacity() * sizeof(uint64_t);
+    return table_.MemoryBytes() + arena_.capacity() * sizeof(uint64_t);
   }
 
  private:
-  static constexpr size_t kGroupWidth = 16;
-  static constexpr uint8_t kEmpty = 0x80;
-  static constexpr uint64_t kLsb = 0x0101010101010101ULL;
-  static constexpr uint64_t kMsb = 0x8080808080808080ULL;
   // Pipeline distance between ProbeRun stages; the ring must hold the
   // 3 * kPipeline + 1 probes in flight and stays a power of two so the
   // hot-loop index is a mask, not a division.
@@ -165,6 +138,13 @@ class FlatHashIndex {
   struct Slot {
     int64_t key;
     uint64_t head;
+  };
+  // Recomputes the hash on growth rather than caching it: the slot stays
+  // 16 B.
+  struct SlotHash {
+    uint64_t operator()(const Slot& slot) const {
+      return SplitMix64(static_cast<uint64_t>(slot.key));
+    }
   };
   static constexpr uint64_t kExternal = 1ULL << 63;
 
@@ -187,81 +167,8 @@ class FlatHashIndex {
     uint32_t count;  // 0 = no match
   };
 
-  // Locates the unique slot holding `key`, nullptr if absent (insert-only:
-  // the search may stop at the first group containing an empty lane).
   const Slot* FindSlot(int64_t key) const {
-    if (used_slots_ == 0) return nullptr;
-    const uint64_t h = SplitMix64(static_cast<uint64_t>(key));
-    const uint8_t tag = TagOf(h);
-    size_t group = GroupOf(h);
-    while (true) {
-      const uint8_t* ctrl = ctrl_.data() + group * kGroupWidth;
-      uint32_t match = MatchMask(ctrl, tag);
-      while (match != 0) {
-        const uint32_t lane = CountTrailingZeros(match);
-        match &= match - 1;
-        const Slot& slot = slots_[group * kGroupWidth + lane];
-        if (slot.key == key) return &slot;  // a key occupies one slot
-      }
-      if (EmptyMask(ctrl) != 0) return nullptr;  // key absent
-      group = NextGroup(group);
-    }
-  }
-
-  static uint8_t TagOf(uint64_t h) { return static_cast<uint8_t>(h >> 57); }
-  size_t GroupOf(uint64_t h) const { return h & group_mask_; }
-  size_t NextGroup(size_t g) const { return (g + 1) & group_mask_; }
-
-  static uint32_t CountTrailingZeros(uint32_t x) {
-    return static_cast<uint32_t>(__builtin_ctz(x));
-  }
-
-  // Bitmask (bit i = lane i) of ctrl bytes equal to `tag` in the 16-byte
-  // group at `ctrl`. Tags are < 0x80, so the SWAR zero-byte detector can
-  // only over-report (a false positive costs one key compare, never a miss).
-  static uint32_t MatchMask(const uint8_t* ctrl, uint8_t tag) {
-#if defined(AJOIN_FLAT_SSE2)
-    const __m128i group =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
-    const __m128i needle = _mm_set1_epi8(static_cast<char>(tag));
-    return static_cast<uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(group, needle)));
-#else
-    uint64_t lo, hi;
-    std::memcpy(&lo, ctrl, sizeof(lo));
-    std::memcpy(&hi, ctrl + 8, sizeof(hi));
-    return SwarEq(lo, tag) | (SwarEq(hi, tag) << 8);
-#endif
-  }
-
-  // Bitmask of empty (0x80) lanes. Exact: ctrl bytes are kEmpty or a
-  // 7-bit tag, so the high bit alone identifies empties.
-  static uint32_t EmptyMask(const uint8_t* ctrl) {
-#if defined(AJOIN_FLAT_SSE2)
-    const __m128i group =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctrl));
-    return static_cast<uint32_t>(_mm_movemask_epi8(group));
-#else
-    uint64_t lo, hi;
-    std::memcpy(&lo, ctrl, sizeof(lo));
-    std::memcpy(&hi, ctrl + 8, sizeof(hi));
-    return PackHighBits(lo & kMsb) | (PackHighBits(hi & kMsb) << 8);
-#endif
-  }
-
-  // Byte-equality via the zero-byte trick on word ^ broadcast(tag); may
-  // over-report a lane adjacent to a true match (borrow propagation), which
-  // the key compare filters out.
-  static uint32_t SwarEq(uint64_t word, uint8_t tag) {
-    const uint64_t x = word ^ (kLsb * tag);
-    return PackHighBits((x - kLsb) & ~x & kMsb);
-  }
-
-  // Collapses the high bit of each byte into an 8-bit lane mask (the SWAR
-  // movemask idiom: each set bit 8k+7 lands at bit k of the top byte, and
-  // no two product terms collide, so there are no carries).
-  static uint32_t PackHighBits(uint64_t msb_mask) {
-    return static_cast<uint32_t>((msb_mask * 0x0002040810204081ULL) >> 56);
+    return table_.Find(key, SplitMix64(static_cast<uint64_t>(key)));
   }
 
   template <typename Fn>
@@ -280,48 +187,31 @@ class FlatHashIndex {
 
   void StageHash(int64_t key, Pending* p) const {
     p->hash = SplitMix64(static_cast<uint64_t>(key));
-    const size_t group = GroupOf(p->hash);
-    p->group = static_cast<uint32_t>(group);
-    __builtin_prefetch(ctrl_.data() + group * kGroupWidth);
+    p->group = static_cast<uint32_t>(table_.GroupOf(p->hash));
+    __builtin_prefetch(table_.Ctrl(p->group));
   }
 
   void StageMatch(Pending* p) const {
-    const uint8_t* ctrl = ctrl_.data() + p->group * kGroupWidth;
-    p->mask = MatchMask(ctrl, TagOf(p->hash));
+    p->mask = swiss::MatchMask(table_.Ctrl(p->group), swiss::TagOf(p->hash));
     if (p->mask != 0) {
-      __builtin_prefetch(
-          &slots_[p->group * kGroupWidth + CountTrailingZeros(p->mask)]);
+      __builtin_prefetch(table_.SlotAt(p->group, swiss::LowestLane(p->mask)));
     }
   }
 
   // Resolves the matching slot (continuing past the primary group in the
   // rare overflow case) and prefetches the duplicate run's first line.
   void StageResolve(int64_t key, Pending* p) const {
-    p->count = 0;
-    size_t group = p->group;
-    uint32_t match = p->mask;
-    const uint8_t tag = TagOf(p->hash);
-    while (true) {
-      while (match != 0) {
-        const uint32_t lane = CountTrailingZeros(match);
-        match &= match - 1;
-        const Slot& slot = slots_[group * kGroupWidth + lane];
-        if (slot.key == key) {
-          if ((slot.head & kExternal) == 0) {
-            p->head = slot.head;
-            p->count = 1;
-          } else {
-            const uint64_t off = slot.head & ~kExternal;
-            __builtin_prefetch(arena_.data() + off);
-            p->head = off;
-            p->count = kResolveRun;
-          }
-          return;
-        }
-      }
-      if (EmptyMask(ctrl_.data() + group * kGroupWidth) != 0) return;
-      group = NextGroup(group);
-      match = MatchMask(ctrl_.data() + group * kGroupWidth, tag);
+    const Slot* slot =
+        table_.FindFrom(key, swiss::TagOf(p->hash), p->group, p->mask);
+    if (slot == nullptr) {
+      p->count = 0;
+    } else if ((slot->head & kExternal) == 0) {
+      p->head = slot->head;
+      p->count = 1;
+    } else {
+      p->head = slot->head & ~kExternal;
+      __builtin_prefetch(arena_.data() + p->head);
+      p->count = kResolveRun;
     }
   }
 
@@ -345,16 +235,10 @@ class FlatHashIndex {
 
   void AppendToRun(Slot* slot, uint64_t row_id);
   uint64_t AllocRun(uint32_t cap);
-  void Rehash(size_t new_slot_count);
-  void MaybeGrow();
 
-  std::vector<uint8_t> ctrl_;   // slot-count bytes, kEmpty or tag (lazy)
-  std::vector<Slot> slots_;     // slot-count entries (lazy)
-  std::vector<uint64_t> arena_; // duplicate runs
-  size_t initial_slots_ = 64;   // first-allocation sizing hint
-  size_t group_mask_ = 0;       // (#groups - 1)
-  size_t size_ = 0;             // total row ids
-  size_t used_slots_ = 0;       // distinct keys
+  SwissTable<Slot, SlotHash> table_;
+  std::vector<uint64_t> arena_;  // duplicate runs
+  size_t size_ = 0;              // total row ids
   // Duplication ratio stashed by Clear() so a post-clear Reserve(n) can
   // translate an entry count into a distinct-key estimate.
   size_t prior_keys_ = 0;

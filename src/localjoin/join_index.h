@@ -3,8 +3,7 @@
 // Concrete (no virtual dispatch) so joiner probe loops stay tight.
 //
 // The equi hash form is the cache-conscious flat tag-filtered index
-// (src/index/flat_index.h). The chained baseline it soaked against has been
-// retired; the flat index's differential anchor is now the std-container
+// (src/index/flat_index.h); its differential anchor is the std-container
 // reference model in tests/flat_index_test.cc.
 
 #pragma once

@@ -229,6 +229,23 @@ TEST(AggTable, ClearResetsAndReserveKeepsContents) {
   EXPECT_EQ(table.size(), 1u);
 }
 
+TEST(AggTable, ReserveAvoidsMidAbsorbGrowth) {
+  // The migration rebuild (Clear + Reserve(kept) + re-upsert) must size the
+  // table once: n distinct upserts after Reserve(n) never grow it. The n
+  // straddle the 7/8 thresholds of 64, 512 and 8192 slots.
+  AggTable table;
+  for (const size_t n : {56u, 57u, 448u, 449u, 7168u, 7169u}) {
+    table.Clear();
+    table.Reserve(n);
+    const size_t bytes = table.MemoryBytes();
+    for (size_t k = 0; k < n; ++k) {
+      table.Upsert(static_cast<int64_t>(k * 7919))->Merge(1.0, 1);
+    }
+    EXPECT_EQ(table.MemoryBytes(), bytes) << "n " << n;
+    EXPECT_EQ(table.size(), n);
+  }
+}
+
 // ---- FoldAggRows ------------------------------------------------------------
 
 Row MakeAggRow(int64_t key, const WeightedAccum& acc) {

@@ -90,7 +90,7 @@ TEST(FlatIndex, DuplicateRunsStayOrderedAndContiguous) {
 }
 
 TEST(FlatIndex, GrowthKeepsAllEntries) {
-  FlatHashIndex index(16);
+  FlatHashIndex index;
   for (int64_t k = 0; k < 5000; ++k) index.Insert(k, static_cast<uint64_t>(k));
   for (int64_t k = 0; k < 5000; ++k) {
     EXPECT_EQ(SortedMatches(index, k),

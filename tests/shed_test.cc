@@ -631,7 +631,15 @@ TEST(ShedStatistics, WeightedPerKeyEstimatesWithinConfidenceBounds) {
             },
             10000));
       }
-      for (const StreamTuple& t : stream) op.Push(t);
+      // Store every R tuple before any S tuple probes: the stream puts R
+      // first, but on the threaded plane a late R tuple could otherwise
+      // probe up to kSPerKey stored S tuples and break the <= 4 matches
+      // per probe the bounds assume.
+      const size_t r_end = static_cast<size_t>(kKeys) * 4;
+      for (size_t i = 0; i < r_end; ++i) op.Push(stream[i]);
+      op.FlushInput();
+      engine->WaitQuiescent();
+      for (size_t i = r_end; i < stream.size(); ++i) op.Push(stream[i]);
       op.SendEos();
       engine->WaitQuiescent();
 

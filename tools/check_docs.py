@@ -27,7 +27,15 @@
    PeriodicTicker/StageObserver loop shared with the controllers in
    src/runtime/metrics_registry.h and TraceRing in src/common/trace_ring.h
    (threading rules of the observability plane: who may publish, who may
-   read, what is lock-free). An undocumented method is a contract hole.
+   read, what is lock-free), and SwissTable in src/index/swiss_table.h
+   (the probe, insert and sizing contract both hash tables share). An
+   undocumented method is a contract hole.
+4. Every backticked code identifier in ARCHITECTURE.md and
+   docs/paper_map.md (`Name`, `Class::member`, `Fn(args)`; paths, flags and
+   expressions are not identifiers) must occur in some file under src/,
+   tests/, bench/, examples/, perfbench/ or tools/: a name the code no
+   longer has is a stale description. Historical mentions are worded in
+   plain text, not backticked.
 
 Exit code 0 = clean; 1 = findings (printed one per line).
 """
@@ -96,6 +104,7 @@ API_SURFACES = (
     ("src/core/weighted.h", ("WeightedAccum",)),
     ("src/index/agg_table.h", ("AggTable",)),
     ("src/index/flat_index.h", ("FlatHashIndex",)),
+    ("src/index/swiss_table.h", ("SwissTable",)),
     ("src/localjoin/join_index.h", ("JoinIndex",)),
     ("src/runtime/metrics_registry.h", ("MetricsRegistry", "TelemetrySampler",
                                         "PeriodicTicker", "StageObserver")),
@@ -218,9 +227,51 @@ def check_api_doc_comments():
     return errors
 
 
+# Docs whose backticked identifiers must name something in the code, and the
+# trees the names are looked up in.
+IDENTIFIER_DOCS = ("ARCHITECTURE.md", "docs/paper_map.md")
+CODE_TREES = ("src", "tests", "bench", "examples", "perfbench", "tools")
+FENCE_RE = re.compile(r"^```.*?^```", re.S | re.M)
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+# `A::b::c`, optionally called: `Fn()`, `Fn(args)`.
+IDENT_SPAN_RE = re.compile(
+    r"^([A-Za-z_]\w*(?:::[A-Za-z_]\w*)*)(?:\([^()]*\))?$")
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def check_doc_identifiers():
+    """Backticked identifiers in IDENTIFIER_DOCS must occur in CODE_TREES
+    (each `::` component as a whole word)."""
+    words = set()
+    for tree in CODE_TREES:
+        for path in (REPO / tree).rglob("*"):
+            if path.is_file():
+                text = path.read_bytes().decode("utf-8", errors="ignore")
+                words.update(WORD_RE.findall(text))
+    errors = []
+    for doc in IDENTIFIER_DOCS:
+        # Blank out fenced blocks but keep their newlines for line numbers.
+        text = FENCE_RE.sub(lambda m: "\n" * m.group(0).count("\n"),
+                            (REPO / doc).read_text(encoding="utf-8"))
+        for line_no, line in enumerate(text.splitlines(), 1):
+            for span in SPAN_RE.findall(line):
+                match = IDENT_SPAN_RE.match(span.strip())
+                if match is None:
+                    continue
+                missing = [part for part in match.group(1).split("::")
+                           if part not in words]
+                if missing:
+                    errors.append(
+                        f"{doc}:{line_no}: `{span}` names "
+                        f"{', '.join(missing)}, which "
+                        "no file under " + "/ ".join(CODE_TREES) + "/ has")
+    return errors
+
+
 def main():
     errors = (check_links() + check_onbatch_doc_comments()
-              + check_api_doc_comments() + check_free_function_doc_comments())
+              + check_api_doc_comments() + check_free_function_doc_comments()
+              + check_doc_identifiers())
     for error in errors:
         print(error)
     if errors:
