@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "src/common/random.h"
 #include "src/core/migration.h"
 #include "src/core/operator.h"
@@ -32,6 +34,32 @@ void BM_FlatIndexInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FlatIndexInsert)->Arg(100000);
+
+// Duplicate-heavy inserts: Zipf(0.5) keys over 2,000 keys, so runs of very
+// different lengths outgrow their arena slots at different times and the
+// relocation path (with run reuse) dominates. Reports the index's
+// MemoryBytes() per stored id.
+void BM_FlatIndexInsertDuplicateHeavy(benchmark::State& state) {
+  ZipfSampler zipf(2000, 0.5);
+  Rng rng(4);
+  std::vector<int64_t> keys(static_cast<size_t>(state.range(0)));
+  for (int64_t& key : keys) key = static_cast<int64_t>(zipf.Sample(rng));
+  double bytes_per_id = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    FlatHashIndex index;
+    state.ResumeTiming();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      index.Insert(keys[i], static_cast<uint64_t>(i));
+    }
+    benchmark::DoNotOptimize(index.size());
+    bytes_per_id = static_cast<double>(index.MemoryBytes()) /
+                   static_cast<double>(index.size());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["bytes_per_id"] = bytes_per_id;
+}
+BENCHMARK(BM_FlatIndexInsertDuplicateHeavy)->Arg(1000000);
 
 void BM_FlatIndexProbe(benchmark::State& state) {
   Rng rng(2);

@@ -8,10 +8,10 @@
 
 namespace ajoin {
 
-void IngressStager::StageInput(IngressPort& port, int dest,
-                               const StreamTuple& tuple, uint64_t seq,
-                               uint64_t ingest_us) {
-  auto fill = [&](Envelope& env) {
+void IngressStager::StageInput(IngressPort& port, const Engine& engine,
+                               int dest, const StreamTuple& tuple,
+                               uint64_t seq) {
+  auto fill = [&](Envelope& env, uint64_t ingest_us) {
     env.type = MsgType::kInput;
     env.rel = tuple.rel;
     env.key = tuple.key;
@@ -25,15 +25,20 @@ void IngressStager::StageInput(IngressPort& port, int dest,
   };
   if (target_ <= 1) {
     Envelope env;
-    fill(env);
+    fill(env, engine.NowMicros());
     port.Post(dest, std::move(env));
     return;
   }
   TupleBatch& run = staged_[static_cast<size_t>(dest - dest_base_)];
-  // A posted run leaves with its buffer, so each new run reserves its full
-  // target once instead of growing by doubling.
-  if (run.empty()) run.items.reserve(target_);
-  fill(run.items.emplace_back());
+  // Opening a run is the one clock read for all of it: every tuple staged
+  // into the run shares the stamp. A posted run leaves with its buffer, so
+  // each new run also reserves its full target once instead of growing by
+  // doubling.
+  if (run.empty()) {
+    run.items.reserve(target_);
+    run.first_buffered_us = engine.NowMicros();
+  }
+  fill(run.items.emplace_back(), run.first_buffered_us);
   if (run.size() >= target_) {
     port.PostBatch(dest, std::move(run));
     run.Clear();
@@ -60,8 +65,8 @@ void OperatorShell::Push(const StreamTuple& tuple) {
   const uint64_t seq = seq_++;
   const int r =
       ReshufflerFor(seq, static_cast<uint32_t>(entry_ids_.size()));
-  stager_.StageInput(Port(), entry_ids_[static_cast<size_t>(r)], tuple, seq,
-                     engine_.NowMicros());
+  stager_.StageInput(Port(), engine_, entry_ids_[static_cast<size_t>(r)],
+                     tuple, seq);
 }
 
 void OperatorShell::SetIngressBatch(uint32_t target) {

@@ -89,12 +89,16 @@ class IngressStager {
   /// Current batch target (1 = per-envelope posts).
   uint32_t target() const { return target_; }
 
-  /// Stages one kInput envelope for `tuple` (sequence number `seq`, ingest
-  /// stamp `ingest_us`) towards destination task `dest`, built in place in
-  /// that destination's run, and posts the run through `port` once it
-  /// reaches the batch target. A target of 1 posts the envelope alone.
-  void StageInput(IngressPort& port, int dest, const StreamTuple& tuple,
-                  uint64_t seq, uint64_t ingest_us);
+  /// Stages one kInput envelope for `tuple` (sequence number `seq`)
+  /// towards destination task `dest`, built in place in that destination's
+  /// run, and posts the run through `port` once it reaches the batch
+  /// target. The ingest stamp is read from `engine`'s clock once per run,
+  /// when the run opens: it becomes the run's first_buffered_us and the
+  /// ingest_us of every tuple staged into it, so a tuple's stamp is never
+  /// later than its Push. A target of 1 posts the envelope alone, stamped
+  /// with its own clock read.
+  void StageInput(IngressPort& port, const Engine& engine, int dest,
+                  const StreamTuple& tuple, uint64_t seq);
 
   /// Ships every staged run (any size) through `port`.
   void FlushStaged(IngressPort& port) {
@@ -167,13 +171,15 @@ class OperatorShell {
  public:
   virtual ~OperatorShell();
 
-  /// Feeds one input tuple: stamps the next sequence number and the
-  /// engine clock, and stages it towards the entry task ReshufflerFor picks
-  /// (paper: incoming tuples are randomly routed to reshufflers), through
-  /// the ingress port — opened lazily on first use. With an ingress batch
-  /// target > 1 the tuple ships in a PostBatch once its entry task's run
-  /// reaches the target. The caller drives engine quiescence (see
-  /// RunWorkload). Single-producer, like the port under it.
+  /// Feeds one input tuple: stamps the next sequence number and stages it
+  /// towards the entry task ReshufflerFor picks (paper: incoming tuples are
+  /// randomly routed to reshufflers), through the ingress port — opened
+  /// lazily on first use. With an ingress batch target > 1 the tuple ships
+  /// in a PostBatch once its entry task's run reaches the target, and its
+  /// ingest stamp is the engine clock read when that run opened (see
+  /// IngressStager::StageInput); a target of 1 reads the clock per tuple.
+  /// The caller drives engine quiescence (see RunWorkload).
+  /// Single-producer, like the port under it.
   void Push(const StreamTuple& tuple);
 
   /// Sets the ingress batch target: input envelopes staged per entry task

@@ -38,8 +38,8 @@ void FlatHashIndex::AppendToRun(Slot* slot, uint64_t row_id) {
     arena_[off] = RunHeader(cap, count + 1);
     return;
   }
-  // Relocate the run doubled; the old copy becomes arena dead space (bounded
-  // by the growth factor, counted by MemoryBytes()).
+  // Relocate the run doubled; the old copy goes on its capacity's free
+  // list, for the next key whose run grows into that size.
   AJOIN_CHECK_MSG(cap <= (1u << 30), "flat index run limit");
   const uint32_t new_cap = cap * 2;
   const uint64_t new_off = AllocRun(new_cap);
@@ -48,9 +48,18 @@ void FlatHashIndex::AppendToRun(Slot* slot, uint64_t row_id) {
   arena_[new_off + 1 + count] = row_id;
   arena_[new_off] = RunHeader(new_cap, count + 1);
   slot->head = kExternal | new_off;
+  uint64_t& free_head = free_runs_[RunClass(cap)];
+  arena_[off] = free_head;
+  free_head = off + 1;
 }
 
 uint64_t FlatHashIndex::AllocRun(uint32_t cap) {
+  uint64_t& free_head = free_runs_[RunClass(cap)];
+  if (free_head != 0) {
+    const uint64_t off = free_head - 1;
+    free_head = arena_[off];  // a free run's header links to the next one
+    return off;
+  }
   // One header word plus `cap` id words.
   const size_t off = arena_.size();
   arena_.resize(off + 1 + cap);
@@ -92,6 +101,7 @@ void FlatHashIndex::Clear() {
   }
   table_.Clear();
   arena_.clear();
+  free_runs_.fill(0);
   size_ = 0;
 }
 

@@ -13,8 +13,11 @@
 //           so a probe touches exactly one slot line, and skewed keys
 //           stream sequentially instead of chasing chain pointers.
 //   arena_  duplicate runs (header word + ids), grown geometrically per
-//           key (relocate-on-full, amortized O(1) append; dead space is
-//           bounded by the growth factor and accounted in MemoryBytes()).
+//           key (relocate-on-full, amortized O(1) append). A relocated
+//           run's old copy goes on an intrusive free list for its
+//           power-of-two capacity and is reused by the next run that grows
+//           into that size, so skewed keys growing at different times do
+//           not leave the arena full of abandoned copies.
 //
 // The joiner's migration protocol rebuilds indexes via Clear() + re-Add.
 //
@@ -25,6 +28,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -114,8 +118,8 @@ class FlatHashIndex {
   void Clear();
 
   /// Memory footprint estimate in bytes (ctrl bytes + slot array + arena,
-  /// including relocation dead space — the number the controller's ILF
-  /// bookkeeping would see).
+  /// including free-listed runs not yet reused — the number the
+  /// controller's ILF bookkeeping would see).
   size_t MemoryBytes() const {
     return table_.MemoryBytes() + arena_.capacity() * sizeof(uint64_t);
   }
@@ -156,6 +160,12 @@ class FlatHashIndex {
   }
   static uint64_t RunHeader(uint32_t cap, uint32_t count) {
     return (static_cast<uint64_t>(cap) << 32) | count;
+  }
+  // Run capacities are powers of two from kInitialRunCap up to 2^31; each
+  // has its own free list.
+  static constexpr size_t kRunClasses = 30;
+  static size_t RunClass(uint32_t cap) {
+    return static_cast<size_t>(__builtin_ctz(cap / kInitialRunCap));
   }
 
   // ProbeRun in-flight state for one probe.
@@ -238,6 +248,10 @@ class FlatHashIndex {
 
   SwissTable<Slot, SlotHash> table_;
   std::vector<uint64_t> arena_;  // duplicate runs
+  // Free run lists, one per capacity class. Links are encoded as arena
+  // offset + 1 (0 ends a list): the head here, and the next link in each
+  // free run's header word.
+  std::array<uint64_t, kRunClasses> free_runs_{};
   size_t size_ = 0;              // total row ids
   // Duplication ratio stashed by Clear() so a post-clear Reserve(n) can
   // translate an entry count into a distinct-key estimate.

@@ -150,7 +150,10 @@ struct Envelope {
   uint32_t bytes = 0;   // accounted tuple size
   uint32_t epoch = 0;   // epoch the tuple was routed under (kData)
   uint32_t group = 0;   // target group (kData/kMigrate)
-  uint64_t ingest_us = 0;  // arrival timestamp for latency measurement
+  /// Arrival timestamp for latency measurement: the engine clock when the
+  /// tuple's ingress run opened (per tuple when the ingress batch is 1), so
+  /// later tuples of a staged run share an earlier stamp.
+  uint64_t ingest_us = 0;
   /// kResult only: Horvitz-Thompson weight. Exact results carry 1.0; a
   /// joiner probing at admission rate p stamps 1/p, so any downstream
   /// weighted aggregate stays an unbiased estimator of the exact join.
@@ -184,7 +187,8 @@ Envelope MakeInput(Rel rel, int64_t key, uint32_t bytes, uint64_t seq);
 struct TupleBatch {
   std::vector<Envelope> items;
   /// When the first envelope was buffered (producer clock, micros). Drives
-  /// the deadline flush; read once per batch, not per tuple.
+  /// the deadline flush, and is the shared ingest stamp of a staged ingress
+  /// run; read once per batch, not per tuple.
   uint64_t first_buffered_us = 0;
 
   TupleBatch() = default;
