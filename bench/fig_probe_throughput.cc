@@ -1,19 +1,15 @@
-// Join-index probe throughput: scalar point probes vs the batched
-// prefetch-pipelined ProbeRun on the flat tag-filtered FlatHashIndex,
-// across Zipf key skew. (The chained HashIndex axis retired with the
-// baseline itself; the flat index is now the only equi-hash form.)
+// Join-index probe throughput: scalar point probes on the flat
+// tag-filtered FlatHashIndex, across Zipf key skew. (The chained HashIndex
+// axis retired with the baseline itself, and the batched ProbeRun axis with
+// the prefetch pipeline; the flat index is the only equi-hash form, and
+// ForEachCandidate per key is the joiner's only probe path.)
 //
 // This isolates the joiner's equi-probe hot path (the paper's joiners spend
 // their cycles in hashmap lookups): a build stream of N (key, id) entries
 // drawn Zipf(z) over a duplicate-heavy domain (N/16 keys, ~16 duplicates
 // per key at z=0, heavier heads as z grows), then M probe keys from the
-// same distribution, probed through JoinIndex exactly as JoinerCore does —
-// scalar ForEachCandidate per key, or ProbeRun over 256-key runs (the run
-// shape batch dispatch produces).
-//
-// Acceptance: ProbeRun >= 1.2x scalar probes/sec on the duplicate-heavy
-// Zipf configuration (z = 1.0) — the prefetch pipeline must pay for itself
-// where misses dominate.
+// same distribution, probed through JoinIndex exactly as JoinerCore does:
+// ForEachCandidate per key.
 //
 // `--smoke` shrinks sizes/reps for CI. Emits BENCH_probe_throughput.json.
 
@@ -33,8 +29,6 @@ using bench::JsonResult;
 using bench::JsonRow;
 
 namespace {
-
-constexpr size_t kRunLen = 256;  // probe run length (batch-dispatch shape)
 
 struct Sizes {
   uint64_t build_n;
@@ -95,33 +89,12 @@ ProbeResult RunScalar(const JoinIndex& index, const EntryPayloads& entries,
   return r;
 }
 
-ProbeResult RunBatched(const JoinIndex& index, const EntryPayloads& entries,
-                       const std::vector<int64_t>& probes) {
-  ProbeResult r;
-  const uint64_t* payload = entries.payload.data();
-  Stopwatch clock;
-  for (size_t at = 0; at < probes.size(); at += kRunLen) {
-    const size_t len =
-        at + kRunLen <= probes.size() ? kRunLen : probes.size() - at;
-    index.ProbeRun(probes.data() + at, len,
-                   [&r, payload](size_t, uint64_t id) {
-                     ++r.matches;
-                     r.sink += payload[id];
-                   });
-  }
-  const double secs = clock.ElapsedSeconds();
-  r.probes_per_sec = static_cast<double>(probes.size()) / secs;
-  r.matches_per_sec = static_cast<double>(r.matches) / secs;
-  return r;
-}
-
 ProbeResult BestOf(int reps, const JoinIndex& index,
                    const EntryPayloads& entries,
-                   const std::vector<int64_t>& probes, bool batched) {
+                   const std::vector<int64_t>& probes) {
   ProbeResult best;
   for (int rep = 0; rep < reps; ++rep) {
-    ProbeResult r = batched ? RunBatched(index, entries, probes)
-                            : RunScalar(index, entries, probes);
+    ProbeResult r = RunScalar(index, entries, probes);
     if (r.probes_per_sec > best.probes_per_sec) best = r;
   }
   return best;
@@ -143,13 +116,11 @@ int main(int argc, char** argv) {
       .Add("measure", smoke ? "wall_clock_smoke" : "wall_clock_best_of_n")
       .Add("build_n", sizes.build_n)
       .Add("probe_n", sizes.probe_n)
-      .Add("run_len", static_cast<uint64_t>(kRunLen))
       .Add("smoke", smoke)
       .Add("note",
            "open-addressing tag-filtered FlatHashIndex with duplicate-run "
-           "arena; probe scalar = per-key ForEachCandidate, run = batched "
-           "ProbeRun over 256-key runs (software-prefetch-pipelined, each "
-           "match gathering its stored-entry payload as the joiner does); "
+           "arena; probe scalar = per-key ForEachCandidate, each match "
+           "gathering its stored-entry payload as the joiner does; "
            "domain = build_n/16 keys so z=0 is ~16 duplicates per key and "
            "z=1.0 is the duplicate-heavy skewed configuration");
 
@@ -164,12 +135,9 @@ int main(int argc, char** argv) {
   const ZConfig kZipfZ[] = {{0.0, 1.0}, {0.8, 0.25}, {1.0, 0.04}};
   const uint64_t domain = sizes.build_n / 16;
 
-  bench::PrintHeader("Probe throughput: probe=scalar|run x Zipf z");
+  bench::PrintHeader("Probe throughput: scalar probes x Zipf z");
   std::printf("%-6s %-8s %14s %14s %10s\n", "z", "probe", "probes/s",
               "matches/s", "mem MB");
-
-  // Acceptance inputs at the duplicate-heavy configuration.
-  double scalar_z1 = 0, run_z1 = 0;
 
   for (const ZConfig& zc : kZipfZ) {
     const double z = zc.z;
@@ -182,42 +150,24 @@ int main(int argc, char** argv) {
     const auto probe_keys = MakeKeys(probe_n, domain, z, 97);
     const EntryPayloads entries(sizes.build_n);
     const JoinIndex index = BuildIndex(build_keys);
-    for (bool batched : {false, true}) {
-      const char* probe_name = batched ? "run" : "scalar";
-      // Warm-up rep, then timed best-of.
-      (void)BestOf(1, index, entries, probe_keys, batched);
-      const ProbeResult r =
-          BestOf(sizes.reps, index, entries, probe_keys, batched);
-      const double mem_mb =
-          static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0);
-      std::printf("%-6.1f %-8s %14.0f %14.0f %10.1f\n", z, probe_name,
-                  r.probes_per_sec, r.matches_per_sec, mem_mb);
-      out.AddRow()
-          .Add("zipf_z", z)
-          .Add("probe", probe_name)
-          .Add("domain", domain)
-          .Add("probe_n", probe_n)
-          .Add("probes_per_sec", r.probes_per_sec)
-          .Add("matches_per_sec", r.matches_per_sec)
-          .Add("matches", r.matches)
-          .Add("index_memory_bytes", static_cast<uint64_t>(
-                                         index.MemoryBytes()));
-      if (z == 1.0) {
-        if (batched) {
-          run_z1 = r.probes_per_sec;
-        } else {
-          scalar_z1 = r.probes_per_sec;
-        }
-      }
-    }
+    // Warm-up rep, then timed best-of.
+    (void)BestOf(1, index, entries, probe_keys);
+    const ProbeResult r = BestOf(sizes.reps, index, entries, probe_keys);
+    const double mem_mb =
+        static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0);
+    std::printf("%-6.1f %-8s %14.0f %14.0f %10.1f\n", z, "scalar",
+                r.probes_per_sec, r.matches_per_sec, mem_mb);
+    out.AddRow()
+        .Add("zipf_z", z)
+        .Add("probe", "scalar")
+        .Add("domain", domain)
+        .Add("probe_n", probe_n)
+        .Add("probes_per_sec", r.probes_per_sec)
+        .Add("matches_per_sec", r.matches_per_sec)
+        .Add("matches", r.matches)
+        .Add("index_memory_bytes", static_cast<uint64_t>(index.MemoryBytes()));
   }
 
-  const double speedup = scalar_z1 > 0 ? run_z1 / scalar_z1 : 0;
-  std::printf(
-      "\nacceptance: run vs scalar at z=1.0 (duplicate-heavy): "
-      "%.2fx (>= 1.2x required)\n",
-      speedup);
-  out.meta().Add("run_vs_scalar_z1", speedup);
   out.Write();
   return 0;
 }

@@ -19,9 +19,14 @@
 
 namespace ajoin {
 
-// One joiner's counters plus its protocol state (kJoiner registry entries).
-// active: inside the group's live grid (elastic scaling tombstones
-// retirees in place). shed_rate_ppm: admitted probe fraction, 1e6 = exact.
+// One joiner's counters plus its protocol state (kJoiner registry entries);
+// the joiner keeps its counters in this record (JoinerMetrics).
+// in_tuples/in_bytes: kData tuples received and stored (the ILF).
+// probe_candidates: index candidates visited. latency_*: emitted results'
+// latency in micros. shed_probes_skipped: probes skipped by Bernoulli
+// sampling (their tuples were still stored exactly). active: inside the
+// group's live grid (elastic scaling tombstones retirees in place).
+// shed_rate_ppm: admitted probe fraction, 1e6 = exact.
 #define AJOIN_JOINER_FIELDS(X)                      \
   X(uint64_t, in_tuples, 0, counter)                \
   X(uint64_t, in_bytes, 0, counter)                 \

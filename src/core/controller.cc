@@ -113,27 +113,20 @@ void ControllerCore::DecideGroup(uint32_t gi, std::vector<EpochSpec>* out) {
   bool contract = false;
   // Explicit scale steps (RequestScale) take priority over ILF relabels;
   // one step per migration round, the rest re-enter via OnAck.
+  // RequestScale keeps the ledger within the steps the allocation allows.
   if (g.pending_scale > 0) {
-    if (g.cur_machines * 4 > g.max_machines) {
-      g.pending_scale = 0;  // no allocated slots left: drop the request
-    } else {
-      expand = true;
-      opt = Mapping{g.mapping.n * 2, g.mapping.m * 2};
-      --g.pending_scale;
-    }
+    AJOIN_CHECK(g.cur_machines * 4 <= g.max_machines);
+    expand = true;
+    opt = Mapping{g.mapping.n * 2, g.mapping.m * 2};
+    --g.pending_scale;
   } else if (g.pending_scale < 0) {
-    if (g.cur_machines < 16) {
-      g.pending_scale = 0;  // a /4 step would drop below the 4-machine
-                            // minimum grid: drop the request
-    } else {
-      contract = true;
-      opt = ContractFor(g);
-      ++g.pending_scale;
-    }
+    AJOIN_CHECK(g.cur_machines >= 16);
+    contract = true;
+    opt = ContractFor(g);
+    ++g.pending_scale;
   }
   if (!expand && !contract) {
-    // Non-adaptive runs only ever reach here via a bounds-refused scale
-    // request; they never emit ILF relabels.
+    // Non-adaptive runs never emit ILF relabels.
     if (!config_.adaptive) return;
     opt = OptimalFor(g);
     if (opt == g.mapping) {
@@ -196,7 +189,16 @@ void ControllerCore::RequestScale(int64_t steps, std::vector<EpochSpec>* out) {
   AJOIN_CHECK_MSG(groups_.size() == 1,
                   "elastic scaling requires a single power-of-two group");
   GroupState& g = groups_[0];
-  g.pending_scale += steps;
+  // Clamp the ledger to the steps still feasible from the current grid
+  // (cur_machines already counts every committed step), so a request the
+  // allocation cannot take is dropped now and never nets against a later
+  // one of the opposite sign.
+  int64_t grows = 0, shrinks = 0;
+  for (uint64_t j = uint64_t{g.cur_machines} * 4; j <= g.max_machines; j *= 4) {
+    ++grows;
+  }
+  for (uint32_t j = g.cur_machines; j >= 16; j /= 4) ++shrinks;
+  g.pending_scale = std::clamp(g.pending_scale + steps, -shrinks, grows);
   if (g.pending_scale != 0 && g.acks_pending == 0) DecideGroup(0, out);
 }
 

@@ -76,9 +76,12 @@ class ControllerCore {
   /// migration round; a step is applied immediately if the group is not
   /// migrating, otherwise when the in-flight migration's last ack lands —
   /// so explicit scaling serializes behind (and takes priority over) ILF
-  /// relabel decisions. Steps that would exceed the allocated slot budget
-  /// (initial J << 2*max_expansions) or shrink below 4 machines drop the
-  /// remaining request. Requires a single group.
+  /// relabel decisions. The queue is clamped at request time to the steps
+  /// the allocation allows from the current grid: growth up to the
+  /// allocated slot budget (initial J << 2*max_expansions), shrinking down
+  /// to 4 machines. A step beyond those bounds is dropped on arrival, so it
+  /// never cancels a later request of the opposite sign. Requires a single
+  /// group.
   void RequestScale(int64_t steps, std::vector<EpochSpec>* out);
 
   /// Scale steps requested but not yet committed (signed; testing/policy).

@@ -1,7 +1,6 @@
 #include "src/core/joiner.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/trace_ring.h"
@@ -26,10 +25,17 @@ JoinerCore::JoinerCore(JoinerConfig config)
   // Seed the telemetry cell before the first dispatch so samplers see the
   // correct participation flag for slots that have not received a message
   // yet (dormant expansion slots in particular).
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch(), migrating(),
-                                     participating(), shed_rate_ppm_);
-  }
+  PublishMetrics();
+}
+
+void JoinerCore::PublishMetrics() {
+  metrics_.latency_count = latency_us_.count();
+  metrics_.latency_sum_us = latency_us_.sum();
+  metrics_.shed_rate_ppm = shed_rate_ppm_;
+  metrics_.epoch = epoch();
+  metrics_.migrating = migrating();
+  metrics_.active = participating();
+  if (config_.telemetry != nullptr) config_.telemetry->Publish(metrics_);
 }
 
 void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
@@ -44,10 +50,7 @@ void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
   if (!egress_.empty()) FlushEgress(ctx);
   // Publish live telemetry once per dispatch: counters stay plain stores
   // above; the cell write is the only synchronized step.
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch(), migrating(),
-                                     participating(), shed_rate_ppm_);
-  }
+  PublishMetrics();
 }
 
 void JoinerCore::HandleControl(const Envelope& msg, Context& ctx) {
@@ -95,31 +98,28 @@ bool JoinerCore::EntryInScope(const StoredEntry& entry, Rel entry_rel,
   return false;
 }
 
-void JoinerCore::MatchAndEmit(const Envelope& msg, const StoredEntry& entry,
-                              Scope scope, Context& ctx) {
-  metrics_.probe_candidates++;
-  if (!EntryInScope(entry, Opposite(msg.rel), scope)) return;
-  bool match;
-  if (msg.has_row && entry.has_row) {
-    match = (msg.rel == Rel::kR) ? config_.spec.Matches(msg.row, entry.row)
-                                 : config_.spec.Matches(entry.row, msg.row);
-  } else {
-    // Slim mode: index candidates already satisfy the key predicate for
-    // equi/band; theta requires rows.
-    AJOIN_CHECK_MSG(config_.spec.kind != JoinSpec::Kind::kTheta,
-                    "theta joins require materialized rows");
-    match = true;
-  }
-  if (match) Emit(msg, entry, msg.rel, ctx);
-}
-
 void JoinerCore::Probe(const Envelope& msg, Scope scope, Context& ctx) {
-  const auto opp_i = static_cast<size_t>(Opposite(msg.rel));
+  const Rel opp = Opposite(msg.rel);
+  const auto opp_i = static_cast<size_t>(opp);
   int64_t lo = 0, hi = 0;
   config_.spec.ProbeRange(msg.rel, msg.key, &lo, &hi);
   const auto& entries = entries_[opp_i];
   index_[opp_i].ForEachCandidate(lo, hi, [&](uint64_t id) {
-    MatchAndEmit(msg, entries[id], scope, ctx);
+    const StoredEntry& entry = entries[id];
+    metrics_.probe_candidates++;
+    if (!EntryInScope(entry, opp, scope)) return;
+    bool match;
+    if (msg.has_row && entry.has_row) {
+      match = (msg.rel == Rel::kR) ? config_.spec.Matches(msg.row, entry.row)
+                                   : config_.spec.Matches(entry.row, msg.row);
+    } else {
+      // Slim mode: index candidates already satisfy the key predicate for
+      // equi/band; theta requires rows.
+      AJOIN_CHECK_MSG(config_.spec.kind != JoinSpec::Kind::kTheta,
+                      "theta joins require materialized rows");
+      match = true;
+    }
+    if (match) Emit(msg, entry, msg.rel, ctx);
   });
 }
 
@@ -139,7 +139,7 @@ void JoinerCore::Emit(const Envelope& msg, const StoredEntry& matched,
       output_count_ % config_.latency_every == 0) {
     uint64_t now = ctx.NowMicros();
     if (now > msg.ingest_us) {
-      metrics_.latency_us.Record(static_cast<double>(now - msg.ingest_us));
+      latency_us_.Record(static_cast<double>(now - msg.ingest_us));
     }
   }
 }
@@ -206,7 +206,7 @@ void JoinerCore::Store(const Envelope& msg, uint8_t origin, uint32_t epoch) {
       (config_.spec.kind == JoinSpec::Kind::kTheta) ? 0 : msg.key;
   entries_[rel_i].push_back(std::move(entry));
   index_[rel_i].Add(index_key, entries_[rel_i].size() - 1);
-  metrics_.NoteStored(msg.bytes);
+  NoteStored(&metrics_, msg.bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -243,24 +243,14 @@ void JoinerCore::ProbeThenStore(const TupleBatch& batch, size_t begin,
                                 size_t end, Context& ctx) {
   // Probes first: the run's tuples all belong to one relation and probe the
   // opposite relation's index, so the run's own (deferred) stores can never
-  // be probe candidates for it. Equi runs go through the batched ProbeRun
-  // entry point (prefetch-pipelined on the flat index); band and theta
-  // probes are ranges and stay scalar. Cross-group probe-only tuples
-  // (!store) are probed and never stored.
+  // be probe candidates for it. Cross-group probe-only tuples (!store) are
+  // probed and never stored.
   //
   // Shedding gates the probe only: the tuple is still stored exactly, so
   // join state (and any future migration of it) is unaffected. Each join
   // pair is produced at exactly one probe site, so Bernoulli(p) admission
   // here with weight 1/p at emission is an unbiased Horvitz-Thompson
-  // sample of the exact output. Under shedding probe_idx_ maps an admitted
-  // probe back to its batch item; the exact path keeps its straight-line
-  // begin+pi addressing.
-  const Rel rel = batch.items[begin].rel;
-  const auto opp_i = static_cast<size_t>(Opposite(rel));
-  const bool equi = config_.spec.kind == JoinSpec::Kind::kEqui;
-  const bool shed = shedding();
-  probe_keys_.clear();
-  probe_idx_.clear();
+  // sample of the exact output.
   emit_weight_ = shed_weight_;  // 1.0 when exact
   for (size_t k = begin; k < end; ++k) {
     const Envelope& msg = batch.items[k];
@@ -270,28 +260,7 @@ void JoinerCore::ProbeThenStore(const TupleBatch& batch, size_t begin,
       metrics_.in_tuples++;
       metrics_.in_bytes += msg.bytes;
     }
-    if (!AdmitProbe()) continue;
-    if (!equi) {
-      Probe(msg, Scope::kAll, ctx);
-      continue;
-    }
-    probe_keys_.push_back(msg.key);  // equi ProbeRange is the key itself
-    if (shed) probe_idx_.push_back(k);
-  }
-  // The batched equi probe (band and theta runs were probed above and left
-  // no keys).
-  const auto& entries = entries_[opp_i];
-  if (shed) {
-    index_[opp_i].ProbeRun(
-        probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
-          MatchAndEmit(batch.items[probe_idx_[pi]], entries[id], Scope::kAll,
-                       ctx);
-        });
-  } else {
-    index_[opp_i].ProbeRun(
-        probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
-          MatchAndEmit(batch.items[begin + pi], entries[id], Scope::kAll, ctx);
-        });
+    if (AdmitProbe()) Probe(msg, Scope::kAll, ctx);
   }
   emit_weight_ = 1.0;
   // Then the run's inserts, grouped so the index stays hot in cache.
@@ -449,7 +418,7 @@ void JoinerCore::FinalizeMigration(Context& ctx) {
       }
     }
     entries = std::move(kept);
-    metrics_.NoteDropped(dropped, dropped_bytes);
+    NoteDropped(&metrics_, dropped, dropped_bytes);
     auto& index = index_[static_cast<size_t>(rel_i)];
     index.Clear();
     // The absorbed partition's size is known here: pre-size the index so
@@ -547,21 +516,6 @@ constexpr uint16_t kSnapshotVersion = 1;
 // Smallest serialized entry: key, tag, seq, bytes, epoch, has_row flag.
 constexpr size_t kMinEntryBytes = 8 + 8 + 8 + 4 + 4 + 1;
 
-template <typename T>
-void PutRaw(T v, std::vector<uint8_t>* out) {
-  size_t at = out->size();
-  out->resize(at + sizeof(T));
-  std::memcpy(out->data() + at, &v, sizeof(T));
-}
-
-template <typename T>
-bool GetRaw(const std::vector<uint8_t>& buf, size_t* offset, T* v) {
-  if (*offset + sizeof(T) > buf.size()) return false;
-  std::memcpy(v, buf.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
 }  // namespace
 
 Status JoinerCore::SnapshotState(std::vector<uint8_t>* out) const {
@@ -654,7 +608,7 @@ Status JoinerCore::RestoreState(const std::vector<uint8_t>& buf) {
       int64_t key =
           (config_.spec.kind == JoinSpec::Kind::kTheta) ? 0 : entries[id].key;
       index.Add(key, id);
-      metrics_.NoteStored(entries[id].bytes);
+      NoteStored(&metrics_, entries[id].bytes);
     }
   }
   protocol_.Restart();

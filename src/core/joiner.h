@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/histogram.h"
 #include "src/common/random.h"
 #include "src/core/epoch_protocol.h"
 #include "src/core/migration.h"
@@ -69,8 +70,7 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
   /// The joiner's one dispatch (task.h invariants): a control singleton
   /// goes to the control switch; a data batch goes to the data path, which
   /// splits it into maximal runs of one type and relation. A steady-state
-  /// kData run is probed first — batched through JoinIndex::ProbeRun for
-  /// equi-joins, so the flat index prefetch-pipelines the run — and then
+  /// kData run is probed first, tuple by tuple through Probe, and then
   /// stored as a group (tuples of one relation never match each other, so
   /// deferring a run's stores behind its probes is output-equivalent to
   /// per-tuple probe-then-store and keeps each index's insert path hot).
@@ -86,7 +86,6 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
   void set_result_sink(int sink) { config_.result_sink = sink; }
 
   const JoinerMetrics& metrics() const { return metrics_; }
-  JoinerMetrics& mutable_metrics() { return metrics_; }
   uint64_t output_count() const { return output_count_; }
   const std::vector<std::pair<uint64_t, uint64_t>>& pairs() const {
     return pairs_;
@@ -142,6 +141,9 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
     kDeltaPrime, // Δ': epoch == new epoch
   };
 
+  // Stamps the protocol state and latency totals into metrics_ and
+  // publishes it to the telemetry cell, if one is wired.
+  void PublishMetrics();
   void HandleControl(const Envelope& msg, Context& ctx);
   void HandleData(const TupleBatch& batch, Context& ctx);
   // Steady-state probe-then-store of one same-relation kData run.
@@ -166,11 +168,9 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
   void ForwardPerDirectives(const Envelope& msg, Context& ctx);
 
   bool EntryInScope(const StoredEntry& entry, Rel entry_rel, Scope scope) const;
+  // Probes the opposite relation's index with `msg` and emits every
+  // in-scope candidate that satisfies the predicate.
   void Probe(const Envelope& msg, Scope scope, Context& ctx);
-  // Shared candidate-filter/match/emit body of the scalar and batched
-  // probe paths (single source of truth for the match rules).
-  void MatchAndEmit(const Envelope& msg, const StoredEntry& entry,
-                    Scope scope, Context& ctx);
   void Emit(const Envelope& msg, const StoredEntry& matched, Rel msg_rel,
             Context& ctx);
   // Egress plane: stages one kResult envelope (result_sink >= 0), and ships
@@ -213,11 +213,10 @@ class JoinerCore : public Task, private EpochProtocol::StateMover {
   uint32_t eos_seen_ = 0;
   bool eos_forwarded_ = false;  // downstream kEos sent (once per slot)
   uint64_t output_count_ = 0;
-  TupleBatch egress_;                // staged kResult run (one dispatch)
-  std::vector<int64_t> probe_keys_;  // batched-probe scratch (one run)
-  std::vector<size_t> probe_idx_;    // shed scratch: run pos -> batch item
+  TupleBatch egress_;     // staged kResult run (one dispatch)
   std::vector<std::pair<uint64_t, uint64_t>> pairs_;
   JoinerMetrics metrics_;
+  Histogram latency_us_;  // emitted results' latency (micros)
 };
 
 }  // namespace ajoin

@@ -20,11 +20,6 @@
 //           not leave the arena full of abandoned copies.
 //
 // The joiner's migration protocol rebuilds indexes via Clear() + re-Add.
-//
-// ProbeRun(keys, n, fn) is the batched entry point: a four-stage software
-// pipeline (hash -> prefetch ctrl group -> match tags + prefetch slot ->
-// resolve key + prefetch duplicate run -> emit) that keeps several probes'
-// cache misses in flight.
 
 #pragma once
 
@@ -73,29 +68,12 @@ class FlatHashIndex {
     if (slot != nullptr) EmitSlot(*slot, fn);
   }
 
-  /// Batched point probes: calls fn(i, row_id) for every match of keys[i],
-  /// for i = 0..n-1 in order (matches of one key stream in insertion
-  /// order). A four-stage software-prefetch pipeline keeps ~kPipeline
-  /// probes' misses in flight: hash + ctrl-group prefetch, tag match +
-  /// slot prefetch, key resolve + duplicate-run prefetch, then emission.
+  /// Calls fn(i, row_id) for every match of keys[i], for i = 0..n-1 in
+  /// order: ForEachMatch over a run of keys.
   template <typename Fn>
   void ProbeRun(const int64_t* keys, size_t n, Fn&& fn) const {
-    if (table_.size() == 0 || n == 0) return;
-    // In-flight probe states, one ring slot per probe modulo the window.
-    Pending ring[kWindow];
-    for (size_t step = 0; step < n + 3 * kPipeline; ++step) {
-      if (step < n) StageHash(keys[step], &ring[step & (kWindow - 1)]);
-      if (step >= kPipeline && step - kPipeline < n) {
-        StageMatch(&ring[(step - kPipeline) & (kWindow - 1)]);
-      }
-      if (step >= 2 * kPipeline && step - 2 * kPipeline < n) {
-        StageResolve(keys[step - 2 * kPipeline],
-                     &ring[(step - 2 * kPipeline) & (kWindow - 1)]);
-      }
-      if (step >= 3 * kPipeline) {
-        const size_t i = step - 3 * kPipeline;
-        StageEmit(ring[i & (kWindow - 1)], i, fn);
-      }
+    for (size_t i = 0; i < n; ++i) {
+      ForEachMatch(keys[i], [&fn, i](uint64_t row_id) { fn(i, row_id); });
     }
   }
 
@@ -125,13 +103,6 @@ class FlatHashIndex {
   }
 
  private:
-  // Pipeline distance between ProbeRun stages; the ring must hold the
-  // 3 * kPipeline + 1 probes in flight and stays a power of two so the
-  // hot-loop index is a mask, not a division.
-  static constexpr size_t kPipeline = 5;
-  static constexpr size_t kWindow = 16;
-  static_assert(kWindow >= 3 * kPipeline + 1 && (kWindow & (kWindow - 1)) == 0,
-                "ring must hold all in-flight probes and stay a power of two");
   static constexpr uint32_t kInitialRunCap = 4;
 
   // Row ids must stay below kExternal — the joiner's entry positions and
@@ -168,15 +139,6 @@ class FlatHashIndex {
     return static_cast<size_t>(__builtin_ctz(cap / kInitialRunCap));
   }
 
-  // ProbeRun in-flight state for one probe.
-  struct Pending {
-    uint64_t hash;
-    uint64_t head;   // resolved ids: inline row id or arena offset of ids
-    uint32_t group;  // primary ctrl group
-    uint32_t mask;   // tag matches in the primary group
-    uint32_t count;  // 0 = no match
-  };
-
   const Slot* FindSlot(int64_t key) const {
     return table_.Find(key, SplitMix64(static_cast<uint64_t>(key)));
   }
@@ -191,54 +153,6 @@ class FlatHashIndex {
     const uint32_t count = RunCount(arena_[off]);
     const uint64_t* run = arena_.data() + off + 1;
     for (uint32_t i = 0; i < count; ++i) fn(run[i]);
-  }
-
-  // --- ProbeRun stages -----------------------------------------------------
-
-  void StageHash(int64_t key, Pending* p) const {
-    p->hash = SplitMix64(static_cast<uint64_t>(key));
-    p->group = static_cast<uint32_t>(table_.GroupOf(p->hash));
-    __builtin_prefetch(table_.Ctrl(p->group));
-  }
-
-  void StageMatch(Pending* p) const {
-    p->mask = swiss::MatchMask(table_.Ctrl(p->group), swiss::TagOf(p->hash));
-    if (p->mask != 0) {
-      __builtin_prefetch(table_.SlotAt(p->group, swiss::LowestLane(p->mask)));
-    }
-  }
-
-  // Resolves the matching slot (continuing past the primary group in the
-  // rare overflow case) and prefetches the duplicate run's first line.
-  void StageResolve(int64_t key, Pending* p) const {
-    const Slot* slot =
-        table_.FindFrom(key, swiss::TagOf(p->hash), p->group, p->mask);
-    if (slot == nullptr) {
-      p->count = 0;
-    } else if ((slot->head & kExternal) == 0) {
-      p->head = slot->head;
-      p->count = 1;
-    } else {
-      p->head = slot->head & ~kExternal;
-      __builtin_prefetch(arena_.data() + p->head);
-      p->count = kResolveRun;
-    }
-  }
-
-  // StageResolve marker: the probe resolved to an external run whose header
-  // (prefetched there) is decoded at emission time.
-  static constexpr uint32_t kResolveRun = 0xffffffffu;
-
-  template <typename Fn>
-  void StageEmit(const Pending& p, size_t i, Fn&& fn) const {
-    if (p.count == 0) return;
-    if (p.count == 1) {
-      fn(i, p.head);
-      return;
-    }
-    const uint32_t count = RunCount(arena_[p.head]);
-    const uint64_t* run = arena_.data() + p.head + 1;
-    for (uint32_t k = 0; k < count; ++k) fn(i, run[k]);
   }
 
   // --- Insert path ---------------------------------------------------------

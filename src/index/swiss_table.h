@@ -120,24 +120,16 @@ class SwissTable {
   const Slot* Find(int64_t key, uint64_t h) const {
     if (used_ == 0) return nullptr;
     const uint8_t tag = swiss::TagOf(h);
-    const size_t group = GroupOf(h);
-    return FindFrom(key, tag, group, swiss::MatchMask(Ctrl(group), tag));
-  }
-
-  /// Continues a probe for `key` at `group`, whose tag matches `match` the
-  /// caller already computed (ProbeRun splits the match from the resolve to
-  /// overlap several probes' misses). nullptr if absent.
-  const Slot* FindFrom(int64_t key, uint8_t tag, size_t group,
-                       uint32_t match) const {
+    size_t group = GroupOf(h);
     while (true) {
-      for (; match != 0; match &= match - 1) {
+      for (uint32_t match = swiss::MatchMask(Ctrl(group), tag); match != 0;
+           match &= match - 1) {
         const Slot& slot = slots_[group * swiss::kGroupWidth +
                                   swiss::LowestLane(match)];
         if (slot.key == key) return &slot;  // a key occupies one slot
       }
       if (swiss::EmptyMask(Ctrl(group)) != 0) return nullptr;
       group = NextGroup(group);
-      match = swiss::MatchMask(Ctrl(group), tag);
     }
   }
 
@@ -207,20 +199,15 @@ class SwissTable {
            slots_.capacity() * sizeof(Slot);
   }
 
-  /// Home ctrl group of hash `h` (the table must be allocated).
+ private:
+  // Home ctrl group of hash `h` (the table must be allocated).
   size_t GroupOf(uint64_t h) const { return h & group_mask_; }
 
-  /// The 16 ctrl bytes of `group`.
+  // The 16 ctrl bytes of `group`.
   const uint8_t* Ctrl(size_t group) const {
     return ctrl_.data() + group * swiss::kGroupWidth;
   }
 
-  /// The slot in `lane` of `group` (for prefetching ahead of FindFrom).
-  const Slot* SlotAt(size_t group, uint32_t lane) const {
-    return &slots_[group * swiss::kGroupWidth + lane];
-  }
-
- private:
   size_t NextGroup(size_t group) const { return (group + 1) & group_mask_; }
 
   // Re-places every occupied slot, in slot order, into the first empty

@@ -84,26 +84,6 @@ class JoinIndex {
     }
   }
 
-  /// Batched POINT probes: calls fn(i, id) for every candidate whose key
-  /// equals keys[i] exactly (plus all entries on kScan), i = 0..n-1 in
-  /// order. On kHash this is the software-prefetch-pipelined hot path (see
-  /// FlatHashIndex::ProbeRun); the other forms degrade to a scalar
-  /// point-probe loop. Range probes — band joins need the
-  /// ProbeRange-derived [lo, hi] interval — must keep using
-  /// ForEachCandidate; ProbeRun would silently drop in-band, off-key
-  /// matches.
-  template <typename Fn>
-  void ProbeRun(const int64_t* keys, size_t n, Fn&& fn) const {
-    if (kind_ == Kind::kHash) {
-      flat_.ProbeRun(keys, n, fn);
-      return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      ForEachCandidate(keys[i], keys[i],
-                       [&fn, i](uint64_t id) { fn(i, id); });
-    }
-  }
-
   /// Total entries added since the last Clear.
   size_t size() const { return size_; }
   /// Physical index kind (hash / tree / scan).

@@ -2,10 +2,11 @@
 // can *observe* the operator). Four pieces:
 //
 //  * SeqlockCell / TaskTelemetry — a per-task snapshot cell. The owning task
-//    keeps bumping its plain JoinerMetrics/ReshufflerMetrics counters as
-//    before (no atomics on the hot path) and periodically *publishes* them
-//    into the cell; any thread can then read a consistent, torn-read-free
-//    copy mid-stream. No lock anywhere, no quiescent drain.
+//    keeps bumping its plain counters (no atomics on the hot path), which
+//    are its snapshot record itself (JoinerMetrics, ReshufflerMetrics), and
+//    periodically *publishes* the record into the cell; any thread can then
+//    read a consistent, torn-read-free copy mid-stream. No lock anywhere,
+//    no quiescent drain.
 //  * MetricsRegistry — the directory of every task's cell. Operators
 //    register their tasks at construction; snapshotting walks the directory
 //    and reads each cell.
@@ -141,38 +142,6 @@ class TaskTelemetry {
     S snapshot;
     std::memcpy(&snapshot, w, sizeof(S));
     return snapshot;
-  }
-
-  /// Publishes a joiner's counters plus epoch / migration / participation /
-  /// shedding state. `active` is whether the joiner is inside its group's
-  /// live grid — elastic scaling flips it at activation/retirement so
-  /// exports can tombstone retired slots instead of dropping their counters.
-  /// `shed_rate_ppm` is the admitted probe fraction in parts-per-million
-  /// (1e6 = exact probing). Call from the owning task's thread only.
-  void PublishJoiner(const JoinerMetrics& m, uint32_t epoch, bool migrating,
-                     bool active, uint32_t shed_rate_ppm = 1000000) {
-    JoinerSnapshot s;
-    s.in_tuples = m.in_tuples;
-    s.in_bytes = m.in_bytes;
-    s.probe_candidates = m.probe_candidates;
-    s.output_tuples = m.output_tuples;
-    s.mig_out_tuples = m.mig_out_tuples;
-    s.mig_out_bytes = m.mig_out_bytes;
-    s.mig_in_tuples = m.mig_in_tuples;
-    s.mig_in_bytes = m.mig_in_bytes;
-    s.discarded_tuples = m.discarded_tuples;
-    s.migrations_finalized = m.migrations_finalized;
-    s.stored_tuples = m.stored_tuples;
-    s.stored_bytes = m.stored_bytes;
-    s.peak_stored_bytes = m.peak_stored_bytes;
-    s.latency_count = m.latency_us.count();
-    s.latency_sum_us = m.latency_us.sum();
-    s.shed_probes_skipped = m.shed_probes_skipped;
-    s.shed_rate_ppm = shed_rate_ppm;
-    s.epoch = epoch;
-    s.migrating = migrating;
-    s.active = active;
-    Publish(s);
   }
 
  private:

@@ -1,27 +1,6 @@
 #include "src/tuple/serde.h"
 
-#include <cstring>
-
 namespace ajoin {
-
-namespace {
-
-template <typename T>
-void PutRaw(T v, std::vector<uint8_t>* out) {
-  size_t at = out->size();
-  out->resize(at + sizeof(T));
-  std::memcpy(out->data() + at, &v, sizeof(T));
-}
-
-template <typename T>
-bool GetRaw(const std::vector<uint8_t>& buf, size_t* offset, T* v) {
-  if (*offset + sizeof(T) > buf.size()) return false;
-  std::memcpy(v, buf.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-}  // namespace
 
 void SerializeRow(const Row& row, std::vector<uint8_t>* out) {
   PutRaw<uint16_t>(static_cast<uint16_t>(row.num_values()), out);

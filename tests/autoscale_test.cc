@@ -254,11 +254,12 @@ TEST(AutoscaleController, SamplesRegistryAndScalesOperator) {
   std::vector<int> ids = {100, 101, 102, 103, 104, 105, 106, 107};
   std::vector<TaskTelemetry*> cells;
   for (int id : ids) cells.push_back(registry.Register(id, TaskKind::kJoiner));
-  JoinerMetrics m;
+  JoinerSnapshot m;
   for (size_t i = 0; i < cells.size(); ++i) {
-    cells[i]->PublishJoiner(m, /*epoch=*/0, /*migrating=*/false,
-                            /*active=*/i < 4);
+    m.active = i < 4;
+    cells[i]->Publish(m);
   }
+  m.active = true;
 
   FakeElasticOp op;
   AutoscaleConfig cfg;
@@ -277,7 +278,7 @@ TEST(AutoscaleController, SamplesRegistryAndScalesOperator) {
 
   // 100 tuples in one second on a live cell: 100/s > 40/s -> grow.
   m.in_tuples = 100;
-  cells[0]->PublishJoiner(m, 0, false, true);
+  cells[0]->Publish(m);
   EXPECT_EQ(ctl.TickNow(1000000), Decision::kGrow);
   EXPECT_EQ(op.grow_calls, 1u);
   EXPECT_EQ(ctl.grows(), 1u);
@@ -288,13 +289,16 @@ TEST(AutoscaleController, SamplesRegistryAndScalesOperator) {
 
   // A migrating joiner freezes the policy regardless of the rate.
   m.in_tuples = 300;
-  cells[0]->PublishJoiner(m, 1, /*migrating=*/true, true);
+  m.epoch = 1;
+  m.migrating = true;
+  cells[0]->Publish(m);
   EXPECT_EQ(ctl.TickNow(2000000), Decision::kHold);
   EXPECT_EQ(op.grow_calls, 1u);
 
   // Migration over, surge still on: the controller acts again.
   m.in_tuples = 500;
-  cells[0]->PublishJoiner(m, 1, false, true);
+  m.migrating = false;
+  cells[0]->Publish(m);
   EXPECT_EQ(ctl.TickNow(3000000), Decision::kGrow);
   EXPECT_EQ(op.grow_calls, 2u);
 }
@@ -304,17 +308,18 @@ TEST(AutoscaleController, TombstonedCellsDoNotCountAsLive) {
   std::vector<int> ids = {7, 8, 9, 10, 11};
   std::vector<TaskTelemetry*> cells;
   for (int id : ids) cells.push_back(registry.Register(id, TaskKind::kJoiner));
-  JoinerMetrics live;
+  JoinerSnapshot live;
   live.stored_tuples = 5;
-  for (size_t i = 0; i < 4; ++i) {
-    cells[i]->PublishJoiner(live, 0, false, /*active=*/true);
-  }
+  live.active = true;
+  for (size_t i = 0; i < 4; ++i) cells[i]->Publish(live);
   // A retired slot keeps (large) counters but is tombstoned inactive: it
   // must count toward neither the live grid nor the per-joiner maximum.
-  JoinerMetrics retired;
+  JoinerSnapshot retired;
   retired.in_tuples = 1 << 20;
   retired.stored_tuples = 999999;
-  cells[4]->PublishJoiner(retired, 3, false, /*active=*/false);
+  retired.epoch = 3;
+  retired.active = false;
+  cells[4]->Publish(retired);
 
   FakeElasticOp op;
   AutoscaleConfig cfg;
@@ -325,7 +330,7 @@ TEST(AutoscaleController, TombstonedCellsDoNotCountAsLive) {
   AutoscaleController ctl(op, &registry, ids, cfg);
   EXPECT_EQ(ctl.TickNow(0), Decision::kHold);
   live.in_tuples = 50;
-  cells[0]->PublishJoiner(live, 0, false, true);
+  cells[0]->Publish(live);
   EXPECT_EQ(ctl.TickNow(1000000), Decision::kGrow);
   ASSERT_EQ(ctl.log().size(), 1u);
   EXPECT_EQ(ctl.log()[0].sample.live_joiners, 4u);

@@ -210,6 +210,33 @@ TEST(Controller, ElasticityTriggersExpansion) {
   EXPECT_EQ(expansions, 2u);  // capped by max_expansions
 }
 
+TEST(Controller, InfeasibleGrowDoesNotCancelLaterShrink) {
+  // One expansion level: 4 -> 16 machines. A second grow arriving while the
+  // first expansion is being acked has no slots to take; it must be dropped
+  // on arrival, not left in the ledger to cancel the shrink behind it.
+  ControllerConfig cfg;
+  cfg.adaptive = false;
+  cfg.max_expansions = 1;
+  ControllerCore ctrl = MakeController(cfg, 4);
+  std::vector<EpochSpec> out;
+  ctrl.RequestScale(+1, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].expansion);
+  out.clear();
+  ctrl.RequestScale(+1, &out);  // infeasible: 16 of 16 slots in use
+  EXPECT_EQ(ctrl.pending_scale(), 0);
+  ctrl.RequestScale(-1, &out);
+  EXPECT_EQ(ctrl.pending_scale(), -1);
+  EXPECT_TRUE(out.empty());  // the expansion's acks are still pending
+  for (uint32_t i = 0; i < 16; ++i) ctrl.OnAck(0, 1, &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].contraction);
+  EXPECT_EQ(out[0].mapping.J(), 4u);
+  ASSERT_EQ(ctrl.log().size(), 2u);
+  EXPECT_TRUE(ctrl.log()[1].contraction);
+  EXPECT_EQ(ctrl.pending_scale(), 0);
+}
+
 TEST(Controller, BarrierModeDefersToCheckpoint) {
   ControllerConfig cfg;
   cfg.barrier_mode = true;

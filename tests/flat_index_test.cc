@@ -218,24 +218,6 @@ TEST(FlatIndex, ProbeRunMatchesScalarExactly) {
   EXPECT_EQ(batched, scalar);
 }
 
-TEST(FlatIndex, ProbeRunShortBatches) {
-  // Batches shorter than the pipeline depth exercise prologue/epilogue.
-  FlatHashIndex index;
-  for (uint64_t i = 0; i < 100; ++i) index.Insert(static_cast<int64_t>(i % 7), i);
-  for (size_t n = 0; n <= 20; ++n) {
-    std::vector<int64_t> probes;
-    for (size_t i = 0; i < n; ++i) probes.push_back(static_cast<int64_t>(i % 9));
-    std::vector<std::pair<size_t, uint64_t>> batched, scalar;
-    index.ProbeRun(probes.data(), probes.size(),
-                   [&](size_t i, uint64_t id) { batched.emplace_back(i, id); });
-    for (size_t i = 0; i < probes.size(); ++i) {
-      index.ForEachMatch(probes[i],
-                         [&](uint64_t id) { scalar.emplace_back(i, id); });
-    }
-    EXPECT_EQ(batched, scalar) << "batch size " << n;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Randomized differential: flat vs the std-container reference over
 // Zipf-skewed duplicate-heavy streams with interleaved store/probe and
@@ -337,7 +319,7 @@ TEST(FlatIndexDifferential, ZipfStreamsWithExtractAbsorb) {
 
 TEST(FlatIndexDifferential, JoinIndexHashMatchesReference) {
   // The JoinIndex wrapper over the flat index must agree with the reference
-  // model through Add/Reserve/ProbeRun.
+  // model through Add/Reserve/ForEachCandidate.
   Rng rng(99);
   ZipfSampler zipf(128, 1.0);
   JoinIndex index(JoinIndex::Kind::kHash);
@@ -355,10 +337,10 @@ TEST(FlatIndexDifferential, JoinIndexHashMatchesReference) {
     probes.push_back(static_cast<int64_t>(zipf.Sample(rng)));
   }
   std::vector<std::pair<size_t, uint64_t>> from_index, from_ref;
-  index.ProbeRun(probes.data(), probes.size(), [&](size_t i, uint64_t id) {
-    from_index.emplace_back(i, id);
-  });
   for (size_t i = 0; i < probes.size(); ++i) {
+    index.ForEachCandidate(probes[i], probes[i], [&](uint64_t id) {
+      from_index.emplace_back(i, id);
+    });
     ref.ForEachMatch(probes[i], i, &from_ref);
   }
   std::sort(from_index.begin(), from_index.end());

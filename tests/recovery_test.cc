@@ -13,6 +13,7 @@
 #include "src/core/operator.h"
 #include "src/core/recovery.h"
 #include "src/sim/sim_engine.h"
+#include "src/tuple/serde.h"
 
 namespace ajoin {
 namespace {
@@ -132,6 +133,145 @@ TEST(JoinerSnapshot, HostileEntryCountRejected) {
   const Status status = joiner.RestoreState(snapshot);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
   EXPECT_EQ(joiner.stored_count(Rel::kR), 0u);
+}
+
+// Offsets and widths of every count and length word in a serialized row
+// starting at buf[*at]; advances *at past the row.
+void RowWords(const std::vector<uint8_t>& buf, size_t* at,
+              std::vector<std::pair<size_t, size_t>>* words) {
+  uint16_t n;
+  std::memcpy(&n, buf.data() + *at, sizeof(n));
+  words->emplace_back(*at, sizeof(n));
+  *at += sizeof(n);
+  for (uint16_t i = 0; i < n; ++i) {
+    const auto type = static_cast<ValueType>(buf[(*at)++]);
+    if (type != ValueType::kString) {
+      *at += 8;
+      continue;
+    }
+    uint32_t len;
+    std::memcpy(&len, buf.data() + *at, sizeof(len));
+    words->emplace_back(*at, sizeof(len));
+    *at += sizeof(len) + len;
+  }
+}
+
+// Applies one seeded mutation: a bit flip, a truncation, or a count/length
+// word (one of `words`) overwritten with a hostile value. Returns true for
+// a truncation.
+bool Mutate(Rng& rng, const std::vector<std::pair<size_t, size_t>>& words,
+            std::vector<uint8_t>* buf) {
+  switch (rng.Uniform(3)) {
+    case 0: {
+      const size_t at = rng.Uniform(buf->size());
+      (*buf)[at] ^= static_cast<uint8_t>(1u << rng.Uniform(8));
+      return false;
+    }
+    case 1:
+      buf->resize(rng.Uniform(buf->size()));
+      return true;
+    default: {
+      const uint64_t kHostile[] = {0, 1, 0xffff, 0xffffffffu,
+                                   uint64_t{1} << 60, ~uint64_t{0},
+                                   rng.Next()};
+      const uint64_t v = kHostile[rng.Uniform(std::size(kHostile))];
+      const auto& [at, width] = words[rng.Uniform(words.size())];
+      std::memcpy(buf->data() + at, &v, width);  // little-endian low bytes
+      return false;
+    }
+  }
+}
+
+TEST(HostileInput, SeededMutationsReturnStatus) {
+  // Thousands of seeded corruptions of a joiner snapshot with rows and of a
+  // serialized row: every RestoreState/DeserializeRow call must come back
+  // with a Status (never abort or throw), and a truncated buffer must be
+  // rejected.
+  JoinerConfig cfg;
+  cfg.spec = MakeEquiJoin(0, 0);
+  cfg.initial_layout = GridLayout::Initial(Mapping{1, 1});
+  cfg.num_reshufflers = 1;
+  JoinerCore joiner(cfg);
+  class NullContext : public Context {
+   public:
+    int self() const override { return 0; }
+    void Send(int, Envelope) override {}
+    uint64_t NowMicros() const override { return 0; }
+  } ctx;
+  for (int i = 0; i < 40; ++i) {
+    Envelope env;
+    env.type = MsgType::kData;
+    env.rel = i % 2 == 0 ? Rel::kR : Rel::kS;
+    env.key = i % 7;
+    env.tag = SplitMix64(static_cast<uint64_t>(i));
+    env.seq = static_cast<uint64_t>(i);
+    env.bytes = 24;
+    env.store = true;
+    env.has_row = i % 4 != 3;  // some entries slim
+    if (env.has_row) {
+      env.row.Append(Value(int64_t{i % 7}));
+      env.row.Append(Value(0.5 * i));
+      env.row.Append(Value(std::string(static_cast<size_t>(i % 5), 'x')));
+    }
+    joiner.OnMessage(std::move(env), ctx);
+  }
+  std::vector<uint8_t> snapshot;
+  ASSERT_TRUE(joiner.SnapshotState(&snapshot).ok());
+  // Snapshot layout: magic u32, version u16, epoch u32, then per relation a
+  // u64 entry count and entries of key, tag, seq (u64), bytes, epoch (u32),
+  // a has_row byte and the row when set.
+  std::vector<std::pair<size_t, size_t>> snap_words;
+  size_t at = 10;
+  for (int rel = 0; rel < 2; ++rel) {
+    uint64_t count;
+    std::memcpy(&count, snapshot.data() + at, sizeof(count));
+    snap_words.emplace_back(at, sizeof(count));
+    at += sizeof(count);
+    for (uint64_t i = 0; i < count; ++i) {
+      at += 8 + 8 + 8 + 4 + 4;
+      if (snapshot[at++] != 0) RowWords(snapshot, &at, &snap_words);
+    }
+  }
+  ASSERT_EQ(at, snapshot.size());
+
+  Row row;
+  row.Append(Value(int64_t{-3}));
+  row.Append(Value("hostile"));
+  row.Append(Value(2.25));
+  row.Append(Value(std::string(40, 'y')));
+  std::vector<uint8_t> row_buf;
+  SerializeRow(row, &row_buf);
+  std::vector<std::pair<size_t, size_t>> row_words;
+  at = 0;
+  RowWords(row_buf, &at, &row_words);
+  ASSERT_EQ(at, row_buf.size());
+
+  Rng rng(20261020);
+  int rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<uint8_t> buf = snapshot;
+    const bool truncated = Mutate(rng, snap_words, &buf);
+    JoinerCore target(cfg);
+    const Status status = target.RestoreState(buf);
+    if (truncated) {
+      EXPECT_FALSE(status.ok()) << "trial " << trial;
+    }
+    if (!status.ok()) ++rejected;
+
+    buf = row_buf;
+    const bool row_truncated = Mutate(rng, row_words, &buf);
+    size_t offset = 0;
+    const Result<Row> got = DeserializeRow(buf, &offset);
+    if (row_truncated) {
+      EXPECT_FALSE(got.ok()) << "trial " << trial;
+    }
+    if (got.ok()) {
+      EXPECT_LE(offset, buf.size());
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 // Crash-and-recover drill: run a prefix, checkpoint, keep running (the

@@ -177,10 +177,9 @@ TEST(ShedController, StallSignalDrivesSetShedRate) {
   std::vector<int> ids = {40, 41, 42, 43};
   std::vector<TaskTelemetry*> cells;
   for (int id : ids) cells.push_back(registry.Register(id, TaskKind::kJoiner));
-  JoinerMetrics m;
-  for (TaskTelemetry* cell : cells) {
-    cell->PublishJoiner(m, 0, false, /*active=*/true);
-  }
+  JoinerSnapshot m;
+  m.active = true;
+  for (TaskTelemetry* cell : cells) cell->Publish(m);
 
   FakeShedOp op;
   ShedConfig cfg = PolicyConfig();
@@ -227,8 +226,9 @@ TEST(ShedController, StallSignalDrivesSetShedRate) {
 TEST(ShedController, BacklogSourceDrivesTrigger) {
   MetricsRegistry registry;
   std::vector<int> ids = {7};
-  registry.Register(7, TaskKind::kJoiner)
-      ->PublishJoiner(JoinerMetrics{}, 0, false, true);
+  JoinerSnapshot live;
+  live.active = true;
+  registry.Register(7, TaskKind::kJoiner)->Publish(live);
   FakeShedOp op;
   ShedConfig cfg;
   cfg.enter_stall_ratio = 0;
@@ -257,8 +257,9 @@ TEST(ShedController, BacklogSourceDrivesTrigger) {
 TEST(ShedController, RejectedRequestIsLoggedNotCounted) {
   MetricsRegistry registry;
   std::vector<int> ids = {7};
-  registry.Register(7, TaskKind::kJoiner)
-      ->PublishJoiner(JoinerMetrics{}, 0, false, true);
+  JoinerSnapshot live;
+  live.active = true;
+  registry.Register(7, TaskKind::kJoiner)->Publish(live);
   FakeShedOp op;
   op.accept = false;
   ShedConfig cfg;

@@ -97,7 +97,7 @@ TEST(MetricsJoiner, NoteDroppedClampsAtZero) {
   JoinerMetrics m;
   m.stored_tuples = 5;
   m.stored_bytes = 100;
-  m.NoteDropped(3, 60);
+  NoteDropped(&m, 3, 60);
   EXPECT_EQ(m.stored_tuples, 2u);
   EXPECT_EQ(m.stored_bytes, 40u);
   EXPECT_EQ(m.discarded_tuples, 3u);
@@ -105,7 +105,7 @@ TEST(MetricsJoiner, NoteDroppedClampsAtZero) {
   // Release builds: an over-drop clamps to zero instead of wrapping to
   // ~2^64 (the bug this guards against); the discard count still records
   // the full request. Debug builds assert instead — see the death test.
-  m.NoteDropped(10, 1000);
+  NoteDropped(&m, 10, 1000);
   EXPECT_EQ(m.stored_tuples, 0u);
   EXPECT_EQ(m.stored_bytes, 0u);
   EXPECT_EQ(m.discarded_tuples, 13u);
@@ -127,7 +127,7 @@ TEST(MetricsJoinerDeathTest, NoteDroppedUnderflowAsserts) {
   JoinerMetrics m;
   m.stored_tuples = 1;
   m.stored_bytes = 8;
-  EXPECT_DEATH(m.NoteDropped(2, 8), "underflow");
+  EXPECT_DEATH(NoteDropped(&m, 2, 8), "underflow");
 }
 #endif
 

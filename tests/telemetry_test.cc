@@ -151,11 +151,13 @@ TEST(MetricsTraceRing, WrapKeepsMostRecentEvents) {
 TEST(TelemetrySampler, SeriesRingAndJsonExport) {
   MetricsRegistry registry;
   TaskTelemetry* cell = registry.Register(0, TaskKind::kJoiner);
-  JoinerMetrics m;
+  JoinerSnapshot m;
   m.in_tuples = 7;
   m.output_tuples = 3;
   m.stored_tuples = 4;
-  cell->PublishJoiner(m, /*epoch=*/2, /*migrating=*/false, /*active=*/true);
+  m.epoch = 2;
+  m.active = true;
+  cell->Publish(m);
 
   TelemetrySampler::Options opts;
   opts.period_us = 1000;

@@ -22,8 +22,8 @@
    src/core/weighted.h and AggTable in src/index/agg_table.h (weight
    contract, migration-aware cell moves, EOS flush barrier),
    FlatHashIndex in src/index/flat_index.h and JoinIndex in
-   src/localjoin/join_index.h (probe-order guarantees, Reserve semantics,
-   ProbeRun pipeline contract), MetricsRegistry/TelemetrySampler and the
+   src/localjoin/join_index.h (probe-order guarantees, Reserve semantics),
+   MetricsRegistry/TelemetrySampler and the
    PeriodicTicker/StageObserver loop shared with the controllers in
    src/runtime/metrics_registry.h and TraceRing in src/common/trace_ring.h
    (threading rules of the observability plane: who may publish, who may
