@@ -1,8 +1,6 @@
 // Join-index probe throughput: scalar point probes on the flat
-// tag-filtered FlatHashIndex, across Zipf key skew. (The chained HashIndex
-// axis retired with the baseline itself, and the batched ProbeRun axis with
-// the prefetch pipeline; the flat index is the only equi-hash form, and
-// ForEachCandidate per key is the joiner's only probe path.)
+// tag-filtered FlatHashIndex (the only equi-hash form), across Zipf key
+// skew.
 //
 // This isolates the joiner's equi-probe hot path (the paper's joiners spend
 // their cycles in hashmap lookups): a build stream of N (key, id) entries
